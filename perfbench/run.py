@@ -28,7 +28,12 @@ ROOT = HERE.parent
 BUILD_DIR = ROOT / ".bench_build" / "perfbench"
 BINARY = BUILD_DIR / "perfbench"
 
-WORKLOADS = ("paper-grid", "fleet-poisson-16", "fleet-flash-64")
+# Workload and metric names, and the metrics' units, as BENCHMARK.json
+# declares them.
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
+END_TO_END_UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER_UNITS = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 FLEETS = ("fleet-poisson-16", "fleet-flash-64")
 # A repetition that has not finished by then counts as a timeout: every
 # operation it would have run fails.
@@ -37,62 +42,6 @@ REP_TIMEOUT_S = 120
 # the cold setup a user pays, and these add setup samples cheaply.
 SETUPS_PER_REP = 2
 
-END_TO_END_UNITS = {
-    "setup_s": "s",
-    "run_s": "s",
-    "wall_s": "s",
-    "cpu_s": "s",
-    "peak_rss_mb": "MB",
-    "sim_goodput_jps": "jobs/s",
-    "sim_hp_miss_frac": "fraction",
-    "sim_lp_miss_frac": "fraction",
-    "sim_hp_p99_ms": "ms",
-    "sim_lp_p99_ms": "ms",
-}
-
-PER_LAYER_UNITS = {
-    "sim.events": "count",
-    "sim.ns_per_event": "ns",
-    "sim.heap_high_water": "count",
-    "sim.callbacks_heap": "count",
-    "sim.shard_speedup": "x",
-    "gpusim.flushes": "count",
-    "gpusim.flushes_per_job": "count",
-    "gpusim.contexts_solved": "count",
-    "gpusim.cache_hit_rate": "fraction",
-    "gpusim.sm_util": "fraction",
-    "dnn.compile_s": "s",
-    "daris.afet_s": "s",
-    "experiments.setup_other_s": "s",
-    "daris.admit_ratio": "fraction",
-    "daris.hp_dmr": "fraction",
-    "daris.lp_dmr": "fraction",
-    "daris.intra_migrations": "count",
-    "workload.gen_s": "s",
-    "workload.arrivals": "count",
-    "cluster.migrations": "count",
-    "cluster.drops": "count",
-    "cluster.infeasible": "count",
-    "cluster.transfers": "count",
-    "cluster.transferred_mb": "MB",
-    "cluster.coalesced": "count",
-    "cluster.steals": "count",
-    "cluster.steal_yield": "fraction",
-    "cluster.rehomes": "count",
-    "cluster.retries": "count",
-    "cluster.retry_admit_ratio": "fraction",
-    "cluster.hedges": "count",
-    "cluster.hedge_win_ratio": "fraction",
-    "cluster.hedge_waste": "count",
-    "cluster.breaker_opens": "count",
-    "metrics.stage_events": "count",
-    "metrics.log_records": "count",
-    "metrics.samples": "count",
-    "metrics.report_s": "s",
-    "metrics.export_s": "s",
-    "metrics.export_mb": "MB",
-    "trace.overhead_s": "s",
-}
 
 def log(msg):
     print(f"perfbench: {msg}", file=sys.stderr, flush=True)
@@ -239,8 +188,12 @@ def end_to_end(untraced, setups=()):
 
     def miss_frac(c):
         # A job misses when it is refused (rejected, shed, dropped) or
-        # completes late: 1 - P(admitted) * P(on time | completed).
-        refused = ratio(sim[f"{c}_rejected"], sim[f"{c}_released"])
+        # completes late: 1 - P(admitted) * P(on time | completed). Counted
+        # per job, not per attempt: each resilience retry is one more
+        # release that follows one more shed attempt of the same job.
+        retries = sim[f"{c}_retries"]
+        refused = ratio(sim[f"{c}_rejected"] - retries,
+                        sim[f"{c}_released"] - retries)
         late = ratio(sim[f"{c}_missed"], sim[f"{c}_completed"])
         return 1.0 - (1.0 - refused) * (1.0 - late)
 
@@ -259,8 +212,8 @@ def end_to_end(untraced, setups=()):
         "sim_hp_p99_ms": sim["hp_p99_ms"],
         "sim_lp_p99_ms": sim["lp_p99_ms"],
     }
-    return {k: {"value": v, "unit": END_TO_END_UNITS[k]}
-            for k, v in values.items()}
+    return {k: {"value": values[k], "unit": END_TO_END_UNITS[k]}
+            for k in END_TO_END_UNITS}
 
 
 def per_layer(workload, untraced, traced):

@@ -9,11 +9,11 @@
 //   perfbench --workload paper-grid|fleet-poisson-16|fleet-flash-64
 //             --seed N [--traced | --setup-only]
 //
-// --traced adds the offline calls as separate spans (dnn.compile,
-// daris.afet) and, on the fleet workloads, an unsharded replay whose
-// fingerprint must equal the sharded run's. --setup-only runs the same
-// setup with a zero simulated horizon, so a fresh process can be timed
-// setting up again without simulating.
+// --traced adds, after the timed workload, the offline calls as separate
+// spans (dnn.compile, daris.afet) and, on the fleet workloads, an unsharded
+// replay whose fingerprint must equal the sharded run's. --setup-only runs
+// the same setup with a zero simulated horizon, so a fresh process can be
+// timed setting up again without simulating.
 
 #include <sys/resource.h>
 
@@ -34,6 +34,7 @@
 #include "experiments/cluster_runner.h"
 #include "experiments/grid.h"
 #include "experiments/runner.h"
+#include "metrics/eventlog.h"
 #include "metrics/trace_export.h"
 #include "metrics/trace_report.h"
 #include "spans.h"
@@ -178,6 +179,10 @@ struct Pool {
   std::uint64_t accepted[2] = {0, 0};
   std::uint64_t completed[2] = {0, 0};
   std::uint64_t missed[2] = {0, 0};
+  // Resilience retries. Each re-enters the router as a new release and
+  // follows one shed attempt, so run.py subtracts them from `released` and
+  // `rejected` to count jobs rather than attempts.
+  std::uint64_t retries[2] = {0, 0};
   common::Percentiles response_ms[2];
   double window_s = 0.0;  // simulated measurement seconds, summed
 
@@ -251,7 +256,9 @@ std::vector<std::unique_ptr<dnn::CompiledModel>> compile_models(
 }
 
 /// The offline phase's two public calls, timed as their own spans on the
-/// workload's inputs (traced repetitions only).
+/// workload's inputs (traced repetitions only). Called outside the
+/// "workload" span, so the traced wall time holds no work that the untraced
+/// run does not do.
 void time_offline(Record* rec, const workload::TaskSetSpec& taskset,
                   rt::SchedulerConfig sched, const gpusim::GpuSpec& gpu,
                   std::uint64_t seed) {
@@ -278,57 +285,69 @@ void time_offline(Record* rec, const workload::TaskSetSpec& taskset,
 // set, periodic releases.
 // ---------------------------------------------------------------------------
 
-void run_paper_grid(Record* rec) {
-  const auto root = rec->spans.open("workload");
-  workload::TaskSetSpec taskset;
-  {
-    auto span = rec->spans.open("workload.gen");
-    taskset = workload::mixed_taskset(rec->seed);
-  }
-  rec->gen_s = rec->spans.total_s("workload.gen");
-  rec->input_digest = digest_inputs(taskset, nullptr);
-  const std::vector<exp::GridPoint> grid = exp::paper_grid();
+exp::RunConfig grid_config(const workload::TaskSetSpec& taskset,
+                           const exp::GridPoint& point, std::uint64_t seed) {
+  exp::RunConfig cfg;
+  cfg.taskset = taskset;
+  cfg.sched = point.sched;
+  cfg.seed = seed;
+  return cfg;
+}
 
-  double util_sum = 0.0;
-  for (const exp::GridPoint& point : grid) {
-    exp::RunConfig cfg;
-    cfg.taskset = taskset;
-    cfg.sched = point.sched;
-    cfg.seed = rec->seed;
-    if (rec->setup_only) cfg.duration_s = 0.0;
-    if (rec->traced) time_offline(rec, taskset, cfg.sched, cfg.gpu, cfg.seed);
-    exp::RunResult r;
+void run_paper_grid(Record* rec) {
+  workload::TaskSetSpec taskset;
+  const std::vector<exp::GridPoint> grid = exp::paper_grid();
+  {
+    const auto root = rec->spans.open("workload");
     {
-      auto span = rec->spans.open("experiments.run_daris");
-      r = exp::run_daris(cfg);
+      auto span = rec->spans.open("workload.gen");
+      taskset = workload::mixed_taskset(rec->seed);
     }
-    {
-      // The paper's runs keep no stage trace, so these fold and export
-      // nothing; they are timed so every workload reports the same spans.
-      auto report_span = rec->spans.open("metrics.trace_report");
-      metrics::trace_report(r.stage_trace);
+    rec->gen_s = rec->spans.total_s("workload.gen");
+    rec->input_digest = digest_inputs(taskset, nullptr);
+
+    double util_sum = 0.0;
+    for (const exp::GridPoint& point : grid) {
+      exp::RunConfig cfg = grid_config(taskset, point, rec->seed);
+      if (rec->setup_only) cfg.duration_s = 0.0;
+      exp::RunResult r;
+      {
+        auto span = rec->spans.open("experiments.run_daris");
+        r = exp::run_daris(cfg);
+      }
+      {
+        // The paper's runs keep no stage trace, so these fold and export
+        // nothing; they are timed so every workload reports the same spans.
+        auto report_span = rec->spans.open("metrics.trace_report");
+        metrics::trace_report(r.stage_trace);
+      }
+      {
+        auto export_span = rec->spans.open("metrics.export");
+        metrics::TraceRecorder spans;
+        spans.add_stage_events(r.stage_trace);
+        rec->layers["metrics.export_mb"] +=
+            u(metrics::to_chrome_trace_json(spans.spans()).size()) / 1e6;
+      }
+      Op op;
+      op.fingerprint = fingerprint(r);
+      op.run_s = r.profile.wall_ms_run / 1e3;
+      rec->ops.push_back(op);
+      rec->setup_s += r.profile.wall_ms_offline / 1e3;
+      rec->run_s += op.run_s;
+      rec->pool.add(r.hp, r.lp, cfg.duration_s - cfg.warmup_s);
+      add_sim_counts(rec, r.profile);
+      util_sum += r.gpu_utilization;
+      rec->layers["daris.intra_migrations"] += u(r.migrations);
+      rec->layers["workload.arrivals"] += u(r.hp.released + r.lp.released);
     }
-    {
-      auto export_span = rec->spans.open("metrics.export");
-      metrics::TraceRecorder spans;
-      spans.add_stage_events(r.stage_trace);
-      rec->layers["metrics.export_mb"] +=
-          u(metrics::to_chrome_trace_json(spans.spans()).size()) / 1e6;
-    }
-    Op op;
-    op.fingerprint = fingerprint(r);
-    op.run_s = r.profile.wall_ms_run / 1e3;
-    rec->ops.push_back(op);
-    rec->setup_s += r.profile.wall_ms_offline / 1e3;
-    rec->run_s += op.run_s;
-    rec->pool.add(r.hp, r.lp, cfg.duration_s - cfg.warmup_s);
-    add_sim_counts(rec, r.profile);
-    util_sum += r.gpu_utilization;
-    rec->layers["daris.intra_migrations"] += u(r.migrations);
-    rec->layers["workload.arrivals"] += u(r.hp.released + r.lp.released);
+    rec->layers["gpusim.sm_util"] = ratio(util_sum, u(grid.size()));
+    rec->setup_s += rec->gen_s;
   }
-  rec->layers["gpusim.sm_util"] = ratio(util_sum, u(grid.size()));
-  rec->setup_s += rec->gen_s;
+  if (!rec->traced) return;
+  for (const exp::GridPoint& point : grid) {
+    const exp::RunConfig cfg = grid_config(taskset, point, rec->seed);
+    time_offline(rec, taskset, cfg.sched, cfg.gpu, cfg.seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +417,34 @@ std::string telemetry_json(const exp::ClusterResult& r) {
   return out;
 }
 
+/// Counts the run's resilience retries per class from the event log (its
+/// retry records name the task). Hedging is off in both fleet workloads, so
+/// retries are the only attempts beyond a job's first; the count must match
+/// the run's own retry counter, or the per-job miss fractions would be wrong.
+void count_retries(Record* rec, const exp::ClusterConfig& cfg,
+                   const exp::ClusterResult& r) {
+  std::uint64_t logged = 0;
+  for (const metrics::FleetEvent& ev : r.events.events()) {
+    if (ev.kind != metrics::EventKind::kRetry ||
+        ev.cause != metrics::EventCause::kBackoff) {
+      continue;
+    }
+    const rt::TaskSpec& task =
+        cfg.taskset.tasks.at(static_cast<std::size_t>(ev.task));
+    ++rec->pool.retries[static_cast<int>(task.priority)];
+    ++logged;
+  }
+  if (logged != r.retries || r.hedges != 0) {
+    std::fprintf(stderr,
+                 "perfbench: %llu retries logged of %llu, %llu hedges; "
+                 "cannot count jobs per class\n",
+                 static_cast<unsigned long long>(logged),
+                 static_cast<unsigned long long>(r.retries),
+                 static_cast<unsigned long long>(r.hedges));
+    std::exit(1);
+  }
+}
+
 void run_fleet(Record* rec, exp::ClusterConfig (*make)(std::uint64_t)) {
   exp::ClusterConfig cfg;
   exp::ClusterResult r;
@@ -415,7 +462,6 @@ void run_fleet(Record* rec, exp::ClusterConfig (*make)(std::uint64_t)) {
         digest_inputs(cfg.taskset, cfg.arrivals == exp::ArrivalMode::kTrace
                                        ? &cfg.trace
                                        : nullptr);
-    if (rec->traced) time_offline(rec, cfg.taskset, cfg.sched, cfg.gpu, cfg.seed);
     {
       auto span = rec->spans.open("experiments.run_cluster");
       r = exp::run_cluster(cfg);
@@ -448,6 +494,7 @@ void run_fleet(Record* rec, exp::ClusterConfig (*make)(std::uint64_t)) {
     rec->setup_s = rec->gen_s + r.profile.wall_ms_offline / 1e3;
     rec->run_s = op.run_s;
     rec->pool.add(r.hp, r.lp, cfg.duration_s - cfg.warmup_s);
+    count_retries(rec, cfg, r);
     add_sim_counts(rec, r.profile);
 
     auto& L = rec->layers;
@@ -479,6 +526,7 @@ void run_fleet(Record* rec, exp::ClusterConfig (*make)(std::uint64_t)) {
   }
 
   if (!rec->traced) return;
+  time_offline(rec, cfg.taskset, cfg.sched, cfg.gpu, cfg.seed);
 
   // Identity replay on the single-threaded engine: same config, same seed.
   // Outside the "workload" span, so the traced wall time stays comparable
@@ -554,6 +602,7 @@ std::string to_json(const Record& rec, double cpu_s, double peak_rss_mb) {
              {"accepted", u(p.accepted[c])},
              {"completed", u(p.completed[c])},
              {"missed", u(p.missed[c])},
+             {"retries", u(p.retries[c])},
              {"p99_ms", p.response_ms[c].percentile(99.0)},
              {"samples", u(p.response_ms[c].count())}}) {
       key = std::string(names[c]) + "_" + field;

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Steadiness check for the benchmark's end-to-end metrics.
 
-    python3 perfbench/steadiness.py --workload NAME [--runs 10] [--sets 2]
-                                    [--first-seed 1] [--seconds S]
+    python3 perfbench/steadiness.py --workload NAME
 
-Runs perfbench/run.py --trace 0 `runs` times per set, with seeds first-seed,
-first-seed+1, ... (the same seeds in every set), and prints per metric each
-set's median and quartiles. It then checks them against BENCHMARK.json:
+Runs perfbench/run.py --trace 0 in two sets of ten runs, with seeds 1 to 10
+in each set and BENCHMARK.json's run_seconds per run, and prints per metric
+each set's median and quartiles. It then checks them against BENCHMARK.json:
 the quartile spread (Q3 - Q1) / median must stay within the metric's bound
-(setup_s excepted) and should stay below a third of it, and a later set's
-median may not be worse than the first set's by more than the bound. Exits 1
-when a check fails. --seconds defaults to BENCHMARK.json's run_seconds.
+and should stay below a third of it, and the second set's median may not be
+worse than the first set's by more than the bound. Exits 1 when a check
+fails.
 """
 
 import argparse
@@ -22,6 +21,8 @@ import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
+SEEDS = range(1, 11)
+SETS = 2
 
 
 def run_once(workload, seed, seconds):
@@ -48,21 +49,16 @@ def quartiles(values):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int)
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
 
     sets = []
-    for s in range(args.sets):
+    for s in range(SETS):
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             runs.append(run_once(args.workload, seed, seconds))
             print(f"set {s + 1} seed {seed}: " + " ".join(
                 f"{m['name']}={runs[-1][m['name']]:.6g}" for m in metrics),
@@ -70,7 +66,7 @@ def main():
         sets.append(runs)
 
     ok = True
-    print(f"\n{args.workload}: {args.runs} seeds x {args.sets} sets, "
+    print(f"\n{args.workload}: {len(SEEDS)} seeds x {SETS} sets, "
           f"{seconds} s per run")
     print(f"{'metric':18} {'set':>3} {'Q1':>12} {'median':>12} {'Q3':>12} "
           f"{'spread':>7} {'bound':>6}  verdict")
@@ -82,12 +78,11 @@ def main():
             q1, med, q3 = quartiles(values)
             spread = (q3 - q1) / med if med else float("inf")
             verdict = []
-            if name != "setup_s":
-                if spread > bound:
-                    verdict.append("SPREAD OVER BOUND")
-                    ok = False
-                elif spread > bound / 3:
-                    verdict.append("spread over bound/3")
+            if spread > bound:
+                verdict.append("SPREAD OVER BOUND")
+                ok = False
+            elif spread > bound / 3:
+                verdict.append("spread over bound/3")
             if first_median is None:
                 first_median = med
             else:
