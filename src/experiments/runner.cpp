@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "common/rng.h"
 #include "daris/offline.h"
 #include "daris/scheduler.h"
 #include "dnn/zoo.h"
@@ -22,7 +23,9 @@ RunResult run_daris(const RunConfig& config) {
         .count();
   };
   sim::Simulator sim;
-  gpusim::Gpu gpu(sim, config.gpu, config.seed);
+  // Jitter seed as cluster::Fleet derives it for device 0: the first draw
+  // of Rng(seed), so this run matches a one-GPU periodic run_cluster.
+  gpusim::Gpu gpu(sim, config.gpu, common::Rng(config.seed).next_u64());
 
   // Pre-size the event pool from the task-set cardinality (one pending
   // release timer per task) plus per-stream launch/completion and per-job

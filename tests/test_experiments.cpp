@@ -3,7 +3,14 @@
 // fast. Exact figures are regenerated by the bench binaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/batching_server.h"
+#include "experiments/cluster_runner.h"
+#include "experiments/grid.h"
 #include "experiments/runner.h"
 
 namespace daris::exp {
@@ -121,6 +128,51 @@ TEST(Experiments, SeedChangesOutcomeSlightly) {
   const RunResult b = run_daris(cfg);
   EXPECT_NE(a.total_jps, b.total_jps);
   EXPECT_NEAR(a.total_jps, b.total_jps, 0.1 * a.total_jps);
+}
+
+TEST(Experiments, RunDarisIsTheOneGpuPeriodicClusterRun) {
+  // run_daris must stay the one-GPU, strictly periodic case of run_cluster:
+  // same jitter seed, same wiring, same counters. An STR point and an
+  // oversubscribed MPS point of the paper grid, two seeds each.
+  const std::vector<GridPoint> grid = paper_grid();
+  for (const char* label : {"STR 1x4", "MPS 6x1 6"}) {
+    const auto point =
+        std::find_if(grid.begin(), grid.end(),
+                     [label](const GridPoint& p) { return p.label == label; });
+    ASSERT_NE(point, grid.end()) << label;
+    for (std::uint64_t seed : {1ull, 42ull}) {
+      RunConfig cfg;
+      cfg.taskset = workload::mixed_taskset();
+      cfg.sched = point->sched;
+      cfg.duration_s = 2.0;
+      cfg.warmup_s = 0.5;
+      cfg.seed = seed;
+      const RunResult single = run_daris(cfg);
+
+      ClusterConfig ccfg;
+      ccfg.taskset = cfg.taskset;
+      ccfg.sched = cfg.sched;
+      ccfg.num_gpus = 1;
+      ccfg.arrivals = ArrivalMode::kPeriodic;
+      ccfg.duration_s = cfg.duration_s;
+      ccfg.warmup_s = cfg.warmup_s;
+      ccfg.seed = seed;
+      const ClusterResult fleet = run_cluster(ccfg);
+
+      SCOPED_TRACE(std::string(label) + " seed " + std::to_string(seed));
+      EXPECT_EQ(single.total_jps, fleet.total_jps);
+      for (const auto& [a, b] : {std::pair{&single.hp, &fleet.hp},
+                                 std::pair{&single.lp, &fleet.lp}}) {
+        EXPECT_EQ(a->released, b->released);
+        EXPECT_EQ(a->rejected, b->rejected);
+        EXPECT_EQ(a->completed, b->completed);
+        EXPECT_EQ(a->missed, b->missed);
+      }
+      EXPECT_EQ(single.migrations, fleet.intra_gpu_migrations);
+      EXPECT_EQ(single.profile.events_executed,
+                fleet.profile.events_executed);
+    }
+  }
 }
 
 TEST(Experiments, RelativeErrorFormatting) {
