@@ -13,6 +13,7 @@
 #include "common/table.h"
 #include "experiments/cluster_runner.h"
 #include "metrics/trace_report.h"
+#include "sim/sharded.h"
 
 using namespace daris;
 
@@ -73,10 +74,12 @@ int main() {
   std::printf("%s\n", metrics::trace_report(r.stage_trace).to_string().c_str());
 
   // --- 2. The same fleet wired by hand ------------------------------------
-  // Everything the harness does is public API: build a Fleet on one
-  // simulator, register tasks with a home GPU, route releases through a
-  // Router, and drive it with any ReleaseFn-based driver.
-  sim::Simulator sim;
+  // Everything the harness does is public API: build a Fleet on the event
+  // engine (zero device shards: one single-threaded simulator), register
+  // tasks with a home GPU, route releases through a Router, and drive it
+  // with any ReleaseFn-based driver.
+  sim::ShardedSimulator engine(0);
+  sim::Simulator& sim = engine.control();
   metrics::Collector collector;
   collector.set_gpu_count(2);
 
@@ -88,7 +91,7 @@ int main() {
   // Heterogeneous fleets instead set fleet_cfg.nodes: one GpuNodeSpec per
   // device with its own compute_scale (SMs + bandwidth) and memory_mb
   // budget for pinned model weights.
-  cluster::Fleet fleet(sim, fleet_cfg, &collector);
+  cluster::Fleet fleet(engine, fleet_cfg, &collector);
 
   const auto model = dnn::compiled_model(dnn::ModelKind::kResNet18, 1,
                                          fleet_cfg.gpu);

@@ -20,31 +20,13 @@ gpusim::GpuSpec GpuNodeSpec::resolved() const {
   return spec;
 }
 
-Fleet::Fleet(sim::Simulator& sim, const FleetConfig& config,
-             metrics::Collector* collector)
-    : sim_(sim),
-      collector_(collector),
-      seed_rng_(config.seed),
-      transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
-  init(config);
-}
-
 Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
              metrics::Collector* collector)
-    : sim_(sharded.control()),
-      sharded_(&sharded),
+    : sharded_(sharded),
+      sim_(sharded.control()),
       collector_(collector),
       seed_rng_(config.seed),
       transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
-  init(config);
-  assert(sharded.device_shards() == 0 || sharded.device_shards() == size());
-}
-
-sim::Simulator& Fleet::device_sim(int g) {
-  return sharded_ ? sharded_->device_sim(g) : sim_;
-}
-
-void Fleet::init(const FleetConfig& config) {
   if (config.nodes.empty()) {
     const int n = std::max(1, config.num_gpus);
     nodes_.reserve(static_cast<std::size_t>(n));
@@ -76,7 +58,10 @@ void Fleet::init(const FleetConfig& config) {
         dev_sim, *gpus_.back(), sched_cfg_, collector_));
     schedulers_.back()->set_device_id(static_cast<int>(g));
   }
+  assert(sharded.device_shards() == 0 || sharded.device_shards() == size());
 }
+
+sim::Simulator& Fleet::device_sim(int g) { return sharded_.device_sim(g); }
 
 int Fleet::add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
                     int home_gpu) {
@@ -359,8 +344,8 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   // fleet's now) so the new device's local events parallelise like every
   // other; add_gpu_now runs from a control-shard event, which is exactly
   // the phase add_shard() requires.
-  if (sharded_ && sharded_->device_shards() > 0) {
-    const int s = sharded_->add_shard();
+  if (sharded_.device_shards() > 0) {
+    const int s = sharded_.add_shard();
     (void)s;
     assert(s == g);
   }

@@ -1,5 +1,6 @@
 // Multi-GPU fleet: N simulated GPUs, each running its own DARIS scheduler,
-// on one shared discrete-event simulator.
+// on one event engine (sim::ShardedSimulator; zero device shards make it a
+// single shared discrete-event simulator).
 //
 // Every task is registered on every GPU (the router can place any job
 // anywhere), but the static HP reservation of Eq. 11 (U^{h,t}_k) is charged
@@ -92,19 +93,16 @@ struct FleetConfig {
 
 class Fleet {
  public:
-  /// Creates one GPU + scheduler pair per configured device on `sim`. All
-  /// job and stage events flow into `collector` (may be null), stamped with
-  /// the device index.
-  Fleet(sim::Simulator& sim, const FleetConfig& config,
-        metrics::Collector* collector);
-
-  /// Sharded construction: device g's GPU + scheduler live on
-  /// `sharded.device_sim(g)` and their local events run in the parallel
-  /// phase; everything fleet-scoped (fault timers, rehoming, the router and
-  /// rebalancer via simulator()) stays on the control shard. With zero
-  /// device shards this is exactly the single-simulator constructor. The
-  /// fleet must be sized to the shard count: device_shards() must equal the
-  /// configured device count (or be 0).
+  /// Creates one GPU + scheduler pair per configured device. Device g's GPU
+  /// and scheduler live on `sharded.device_sim(g)`, so with device shards
+  /// their local events run in the parallel phase; everything fleet-scoped
+  /// (fault timers, rehoming, the router and rebalancer via simulator())
+  /// stays on the control shard. With zero device shards the engine is the
+  /// single-threaded simulator, bit for bit. The fleet must be sized to the
+  /// shard count: device_shards() must equal the configured device count
+  /// (or be 0). All job and stage events flow into `collector` (may be
+  /// null), stamped with the device index. Device g's jitter seed is the
+  /// g-th draw of common::Rng(config.seed).
   Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
         metrics::Collector* collector);
 
@@ -347,10 +345,8 @@ class Fleet {
   /// elsewhere; if no placeable device remains, homes stay and feasible()
   /// sheds the releases.
   void rehome_tasks_from(int g);
-  /// Shared tail of both constructors (runs after sim_/sharded_ are set).
-  void init(const FleetConfig& config);
-  sim::Simulator& sim_;
-  sim::ShardedSimulator* sharded_ = nullptr;  // null: single-simulator fleet
+  sim::ShardedSimulator& sharded_;
+  sim::Simulator& sim_;  // sharded_.control()
   std::vector<GpuNodeSpec> nodes_;
   std::vector<std::unique_ptr<gpusim::Gpu>> gpus_;
   std::vector<std::unique_ptr<rt::Scheduler>> schedulers_;

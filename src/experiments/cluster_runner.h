@@ -1,7 +1,9 @@
-// Cluster experiment runner: wires a GPU fleet, shared compiled models,
+// The experiment harness: wires a GPU fleet, shared compiled models,
 // offline AFET profiling, per-GPU DARIS schedulers, the routing front-end,
 // and a release driver (periodic or open-loop) into one reproducible run.
-// Mirrors RunConfig/run_daris one level up the stack.
+// It is the only harness: run_daris (experiments/runner.h) is its one-GPU
+// periodic case, so every paper figure and every fleet run share one
+// wiring path.
 #pragma once
 
 #include <cstdint>

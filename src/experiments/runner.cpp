@@ -1,102 +1,33 @@
 #include "experiments/runner.h"
 
-#include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
+#include <utility>
 
-#include "common/rng.h"
-#include "daris/offline.h"
-#include "daris/scheduler.h"
-#include "dnn/zoo.h"
-#include "gpusim/gpu.h"
-#include "sim/simulator.h"
-#include "workload/driver.h"
+#include "experiments/cluster_runner.h"
 
 namespace daris::exp {
 
 RunResult run_daris(const RunConfig& config) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  auto wall_ms_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  sim::Simulator sim;
-  // Jitter seed as cluster::Fleet derives it for device 0: the first draw
-  // of Rng(seed), so this run matches a one-GPU periodic run_cluster.
-  gpusim::Gpu gpu(sim, config.gpu, common::Rng(config.seed).next_u64());
-
-  // Pre-size the event pool from the task-set cardinality (one pending
-  // release timer per task) plus per-stream launch/completion and per-job
-  // sync events, so the first release burst does not grow the slab pool
-  // mid-run. Sizing is a hint; the pool still grows if outrun.
-  sim.reserve(config.taskset.tasks.size() * 3 +
-              static_cast<std::size_t>(config.sched.parallelism()) * 2 + 64);
-
-  metrics::Collector collector;
-  collector.set_measure_start(common::from_sec(config.warmup_s));
-  collector.enable_stage_trace(config.stage_trace);
-
-  rt::SchedulerConfig sched_cfg = config.sched;
-  sched_cfg.canonicalize();
-
-  // One compiled model per distinct kind (weights shared across tasks, as
-  // MPS shares them across contexts — the zero-delay migration premise).
-  std::map<dnn::ModelKind, std::unique_ptr<dnn::CompiledModel>> models;
-  for (const auto& t : config.taskset.tasks) {
-    if (!models.count(t.model)) {
-      models.emplace(t.model,
-                     std::make_unique<dnn::CompiledModel>(dnn::compiled_model(
-                         t.model, sched_cfg.batch, config.gpu)));
-    }
-  }
-
-  // Offline phase 1: AFET profiling under the same partitioning.
-  std::vector<const dnn::CompiledModel*> distinct;
-  distinct.reserve(models.size());
-  for (const auto& [kind, m] : models) distinct.push_back(m.get());
-  const rt::AfetResult afet = rt::profile_afet(
-      config.gpu, sched_cfg, distinct, /*jobs_per_stream=*/16, config.seed);
-
-  rt::Scheduler scheduler(sim, gpu, sched_cfg, &collector);
-  for (const auto& t : config.taskset.tasks) {
-    const int id = scheduler.add_task(t, models.at(t.model).get());
-    scheduler.set_afet(id, afet.for_model(models.at(t.model).get()));
-  }
-
-  // Offline phase 2: Algorithm 1 initial context assignment.
-  scheduler.run_offline_phase();
-  const double wall_ms_offline = wall_ms_since(wall_start);
-
-  const common::Time horizon = common::from_sec(config.duration_s);
-  workload::PeriodicDriver driver(sim, scheduler, horizon);
-  driver.start();
-  const auto wall_run_start = std::chrono::steady_clock::now();
-  sim.run_until(horizon);
-  const double wall_ms_run = wall_ms_since(wall_run_start);
+  ClusterConfig cluster;
+  cluster.taskset = config.taskset;
+  cluster.sched = config.sched;
+  cluster.gpu = config.gpu;
+  cluster.num_gpus = 1;
+  cluster.arrivals = ArrivalMode::kPeriodic;
+  cluster.duration_s = config.duration_s;
+  cluster.warmup_s = config.warmup_s;
+  cluster.seed = config.seed;
+  cluster.stage_trace = config.stage_trace;
+  ClusterResult r = run_cluster(cluster);
 
   RunResult result;
-  result.total_jps = collector.throughput_jps(horizon);
-  result.hp = collector.summary(common::Priority::kHigh);
-  result.lp = collector.summary(common::Priority::kLow);
-  result.gpu_utilization = gpu.utilization(horizon);
-  result.migrations = scheduler.migrations();
-  result.stage_trace = collector.stage_trace();
-
-  const sim::Simulator::Stats sstats = sim.stats();
-  result.profile.events_executed = sstats.events_executed;
-  result.profile.callbacks_inline = sstats.callbacks_inline;
-  result.profile.callbacks_heap = sstats.callbacks_heap;
-  result.profile.heap_high_water = sstats.heap_high_water;
-  result.profile.pool_slots = sstats.pool_slots;
-  const gpusim::Gpu::SolverStats& ss = gpu.solver_stats();
-  result.profile.solver_flushes = ss.flushes;
-  result.profile.solver_contexts_solved = ss.contexts_solved;
-  result.profile.solver_contexts_reused = ss.contexts_reused;
-  result.profile.wall_ms_offline = wall_ms_offline;
-  result.profile.wall_ms_run = wall_ms_run;
-  result.profile.wall_ms_total = wall_ms_since(wall_start);
+  result.total_jps = r.total_jps;
+  result.hp = std::move(r.hp);
+  result.lp = std::move(r.lp);
+  result.gpu_utilization = r.per_gpu[0].utilization;
+  result.migrations = r.intra_gpu_migrations;
+  result.stage_trace = std::move(r.stage_trace);
+  result.profile = r.profile;
   return result;
 }
 

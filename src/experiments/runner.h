@@ -1,6 +1,7 @@
-// Shared experiment runner: wires GPU, compiled models, offline AFET
-// profiling, the DARIS scheduler, the periodic driver, and metrics into one
-// reproducible run. Every bench binary goes through this.
+// Single-GPU experiment runner: the paper's setting (one GPU, strictly
+// periodic releases) as a narrow config/result pair over run_cluster
+// (experiments/cluster_runner.h), which does all the wiring. run_daris is
+// exactly run_cluster with num_gpus = 1 and ArrivalMode::kPeriodic.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,8 @@ struct RunResult {
   metrics::RunProfile profile;
 };
 
-/// Runs DARIS on the configured task set and returns the measured summary.
+/// Runs DARIS on the configured task set on one GPU and returns the measured
+/// summary: the one-GPU periodic case of run_cluster.
 RunResult run_daris(const RunConfig& config);
 
 /// Paper-vs-measured helper: relative error string like "+3.2%".

@@ -8,6 +8,7 @@
 #include "cluster/fleet.h"
 #include "cluster/router.h"
 #include "experiments/cluster_runner.h"
+#include "sim/sharded.h"
 
 namespace daris::cluster {
 namespace {
@@ -35,7 +36,7 @@ struct Harness {
     collector.set_gpu_count(cfg.nodes.empty()
                                 ? num_gpus
                                 : static_cast<int>(cfg.nodes.size()));
-    fleet = std::make_unique<Fleet>(sim, cfg, &collector);
+    fleet = std::make_unique<Fleet>(engine, cfg, &collector);
   }
 
   /// Adds a task whose AFET (and so utilisation ~ total_afet/period) is
@@ -54,7 +55,8 @@ struct Harness {
     return id;
   }
 
-  sim::Simulator sim;
+  sim::ShardedSimulator engine{0};  // zero shards: single-threaded engine
+  sim::Simulator& sim = engine.control();
   metrics::Collector collector;
   std::unique_ptr<dnn::CompiledModel> model;
   std::unique_ptr<Fleet> fleet;

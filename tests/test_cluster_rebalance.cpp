@@ -13,6 +13,7 @@
 #include "cluster/router.h"
 #include "daris/stage_queue.h"
 #include "experiments/cluster_runner.h"
+#include "sim/sharded.h"
 
 namespace daris::cluster {
 namespace {
@@ -33,7 +34,7 @@ struct Harness {
     model = std::make_unique<dnn::CompiledModel>(
         dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
     collector.set_gpu_count(num_gpus);
-    fleet = std::make_unique<Fleet>(sim, cfg, &collector);
+    fleet = std::make_unique<Fleet>(engine, cfg, &collector);
   }
 
   int add_task(Priority priority, double total_afet_us, int home_gpu) {
@@ -50,7 +51,8 @@ struct Harness {
     return id;
   }
 
-  sim::Simulator sim;
+  sim::ShardedSimulator engine{0};  // zero shards: single-threaded engine
+  sim::Simulator& sim = engine.control();
   metrics::Collector collector;
   std::unique_ptr<dnn::CompiledModel> model;
   std::unique_ptr<Fleet> fleet;
