@@ -2,13 +2,13 @@
 """Fingerprint gate over the paper-figure drivers.
 
 Usage:
-    scripts/check_figures.py [--build-dir build]
-        [--digests tests/data/figure_digests.json] [--jobs N]
-        [--out-dir DIR] [--rebaseline]
+    scripts/check_figures.py [--build-dir build] [--out-dir DIR]
+        [--rebaseline]
 
 Runs every paper-figure driver (Figs. 4-11, the OS sweep, Sec. VI-B and
 Table I) and compares the sha256 of each driver's stdout against the
-committed digests. The drivers are pure functions of their built-in
+committed digests in tests/data/figure_digests.json, running the drivers
+in parallel. The drivers are pure functions of their built-in
 configurations and seeds, so their stdout repeats byte-for-byte across
 runs and builds: any difference is a real change in simulated behaviour,
 never machine noise. The gate also fails when a driver exits non-zero or
@@ -42,7 +42,7 @@ DRIVERS = [
     "bench_tab1_batching",
 ]
 
-DEFAULT_DIGESTS = os.path.normpath(os.path.join(
+DIGESTS = os.path.normpath(os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "data",
     "figure_digests.json"))
 
@@ -64,16 +64,12 @@ def main():
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--build-dir", default="build",
                         help="directory holding the bench_* binaries")
-    parser.add_argument("--digests", default=DEFAULT_DIGESTS,
-                        help="committed digest file (JSON: driver -> sha256)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="drivers run in parallel")
     parser.add_argument("--out-dir", help="keep each driver's stdout here")
     parser.add_argument("--rebaseline", action="store_true",
                         help="rewrite the digest file from this run")
     args = parser.parse_args()
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         runs = dict(zip(DRIVERS, pool.map(
             lambda n: run_driver(args.build_dir, n), DRIVERS)))
 
@@ -95,13 +91,13 @@ def main():
             for f in failures:
                 print(f"  - {f}")
             return 1
-        with open(args.digests, "w") as f:
+        with open(DIGESTS, "w") as f:
             json.dump(digests, f, indent=2, sort_keys=True)
             f.write("\n")
-        print(f"wrote {len(digests)} figure digests to {args.digests}")
+        print(f"wrote {len(digests)} figure digests to {DIGESTS}")
         return 0
 
-    with open(args.digests) as f:
+    with open(DIGESTS) as f:
         committed = json.load(f)
     for name in DRIVERS:
         want = committed.get(name)
