@@ -4,7 +4,8 @@
 Usage:
     scripts/check_scenarios.py --bench build/bench_fig_scenarios \
         [--data-dir tests/data] [--json OUT.json] [--telemetry DIR]
-    scripts/check_scenarios.py --json build/scenarios.json
+        [--sharded] [--rebaseline]
+    scripts/check_scenarios.py --json build/scenarios.json [--rebaseline]
 
 With --bench the scenario driver is executed (writing its JSON report to
 --json, or a temporary file); with only --json an existing report is
@@ -13,8 +14,16 @@ is non-deterministic across the driver's built-in re-run, or when fewer
 scenarios ran than the matrix is expected to hold (a silently dropped
 scenario cannot fake a green gate).
 
+It also pins behaviour: every scenario's fingerprint and telemetry digest
+must equal the committed entry in tests/data/scenario_digests.json, and
+every committed entry must be in the report. --rebaseline rewrites that
+file from the report instead of comparing. Every rebaseline is a
+deliberate behaviour change and needs a CHANGES.md entry naming what
+moved.
+
 Unlike the perf gate, this one is strict: the simulator is deterministic,
-so threshold misses are real behaviour changes, not machine noise.
+so threshold misses and digest changes are real behaviour changes, not
+machine noise.
 """
 
 import argparse
@@ -26,6 +35,10 @@ import tempfile
 
 # Keep in sync with scenario_defs() in src/experiments/scenarios.cpp.
 EXPECTED_MIN_SCENARIOS = 11
+
+DIGESTS = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests", "data",
+    "scenario_digests.json"))
 
 
 def load(path):
@@ -69,6 +82,9 @@ def main():
                         "bit-for-bit (with --bench passes --sharded to the "
                         "driver; with --json alone requires the report to "
                         "carry the sharded_matches fields)")
+    parser.add_argument("--rebaseline", action="store_true",
+                        help="rewrite tests/data/scenario_digests.json from "
+                        "the report instead of comparing against it")
     args = parser.parse_args()
 
     if not args.bench and not args.json:
@@ -113,12 +129,46 @@ def main():
                     f"{name}: {c['metric']} = {c['value']:.4g} violates "
                     f"{c['op']} {c['limit']:.4g}")
 
+    digests = {s.get("name", "?"): {
+        "fingerprint": s.get("fingerprint", ""),
+        "telemetry_digest": s.get("telemetry_digest", ""),
+    } for s in scenarios}
+    if args.rebaseline:
+        if tmp is not None:
+            os.unlink(tmp.name)
+        if failures:
+            print("refusing to rebaseline:")
+            for f in failures:
+                print(f"  - {f}")
+            return 1
+        with open(DIGESTS, "w") as f:
+            json.dump(digests, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {len(digests)} scenario digests to {DIGESTS}")
+        return 0
+
+    with open(DIGESTS) as f:
+        committed = json.load(f)
+    for name, want in sorted(committed.items()):
+        got = digests.get(name)
+        if got is None:
+            failures.append(f"{name}: committed digest but not in report")
+            continue
+        for key in ("fingerprint", "telemetry_digest"):
+            if got[key] != want[key]:
+                failures.append(f"{name}: {key} {got[key]!r} differs from "
+                                f"committed {want[key]!r}")
+    for name in sorted(set(digests) - set(committed)):
+        failures.append(f"{name}: no committed digest")
+
     print(f"{len(scenarios)} scenarios, "
           f"{sum(1 for s in scenarios if s.get('pass'))} within thresholds, "
           f"{sum(1 for s in scenarios if s.get('deterministic'))} "
           "deterministic"
           + (f", {sum(1 for s in scenarios if s.get('sharded_matches'))} "
-             "sharded-bit-identical" if args.sharded else ""))
+             "sharded-bit-identical" if args.sharded else "")
+          + f", {sum(1 for n in committed if digests.get(n) == committed[n])}"
+          f"/{len(committed)} matching the committed digests")
 
     if tmp is not None:
         os.unlink(tmp.name)

@@ -510,8 +510,8 @@ std::string fingerprint_of(const ClusterResult& r,
     // that leaks a job must not reproduce a clean run's fingerprint. On
     // resilience-off runs the invariant is still VERIFIED — the
     // unconditional ge("conservation") check below gates every scenario —
-    // but it stays out of the fingerprint so legacy fingerprints remain
-    // byte-identical to the committed .baseline_scenarios_pr7.json.
+    // but it stays out of the fingerprint so the fingerprints of scenarios
+    // predating the resilience layer did not move when it landed.
     append(&fp, "cons", static_cast<std::uint64_t>(r.conservation_ok ? 1 : 0));
   }
   for (const auto& g : r.per_gpu) append(&fp, "g", g.completed);
