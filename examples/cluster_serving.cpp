@@ -80,8 +80,7 @@ int main() {
   // with any ReleaseFn-based driver.
   sim::ShardedSimulator engine(0);
   sim::Simulator& sim = engine.control();
-  metrics::Collector collector;
-  collector.set_gpu_count(2);
+  metrics::Collector collector;  // the fleet sizes it to its GPUs
 
   cluster::FleetConfig fleet_cfg;
   fleet_cfg.num_gpus = 2;
@@ -91,7 +90,7 @@ int main() {
   // Heterogeneous fleets instead set fleet_cfg.nodes: one GpuNodeSpec per
   // device with its own compute_scale (SMs + bandwidth) and memory_mb
   // budget for pinned model weights.
-  cluster::Fleet fleet(engine, fleet_cfg, &collector);
+  cluster::Fleet fleet(engine, fleet_cfg, collector);
 
   const auto model = dnn::compiled_model(dnn::ModelKind::kResNet18, 1,
                                          fleet_cfg.gpu);
@@ -109,7 +108,7 @@ int main() {
   cluster::RouterConfig router_cfg;
   router_cfg.policy = cluster::RoutingPolicy::kRoundRobin;
   router_cfg.seed = 1;
-  cluster::Router router(fleet, router_cfg, &collector);
+  cluster::Router router(fleet, router_cfg, collector);
   workload::TaskSetSpec taskset;
   taskset.tasks.push_back(spec);
   workload::PeriodicDriver driver(

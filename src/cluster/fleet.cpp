@@ -21,7 +21,7 @@ gpusim::GpuSpec GpuNodeSpec::resolved() const {
 }
 
 Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
-             metrics::Collector* collector)
+             metrics::Collector& collector)
     : sharded_(sharded),
       sim_(sharded.control()),
       collector_(collector),
@@ -55,9 +55,10 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
     gpus_.push_back(std::make_unique<gpusim::Gpu>(
         dev_sim, nodes_[g].resolved(), seed_rng_.next_u64()));
     schedulers_.push_back(std::make_unique<rt::Scheduler>(
-        dev_sim, *gpus_.back(), sched_cfg_, collector_));
+        dev_sim, *gpus_.back(), sched_cfg_, &collector_));
     schedulers_.back()->set_device_id(static_cast<int>(g));
   }
+  collector_.grow_gpu_count(size());
   assert(sharded.device_shards() == 0 || sharded.device_shards() == size());
 }
 
@@ -266,9 +267,7 @@ void Fleet::rehome_task(int task_id, int to, metrics::EventCause cause) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now())
                  << "us rehome task " << task_id << " gpu " << from << " -> "
                  << to;
-  if (collector_) {
-    collector_->log_rehome(sim_.now(), from, to, task_id, cause);
-  }
+  collector_.log_rehome(sim_.now(), from, to, task_id, cause);
 }
 
 std::size_t Fleet::fail_gpu_now(int g) {
@@ -284,10 +283,8 @@ std::size_t Fleet::fail_gpu_now(int g) {
   gpu(g).halt();
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " fail-stop, " << lost << " in-flight jobs lost";
-  if (collector_) {
-    collector_->log_fault(sim_.now(), g, metrics::EventCause::kFailStop,
-                          static_cast<double>(lost));
-  }
+  collector_.log_fault(sim_.now(), g, metrics::EventCause::kFailStop,
+                       static_cast<double>(lost));
   // Let the router cancel/retarget transfers still headed here before the
   // homes move (the retarget re-migration reads placement scores, which
   // rehoming does not change, but the hook must see the device already
@@ -308,10 +305,7 @@ void Fleet::slow_gpu_now(int g, double factor) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " compute scale x" << factor << " -> "
                  << nodes_[static_cast<std::size_t>(g)].compute_scale;
-  if (collector_) {
-    collector_->log_fault(sim_.now(), g, metrics::EventCause::kStraggler,
-                          factor);
-  }
+  collector_.log_fault(sim_.now(), g, metrics::EventCause::kStraggler, factor);
 }
 
 void Fleet::slow_gpu(int g, double factor, common::Time when) {
@@ -324,7 +318,7 @@ void Fleet::drain_gpu_now(int g) {
   h = GpuHealth::kDraining;
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " draining (finishes in-flight work, no new placements)";
-  if (collector_) collector_->log_drain(sim_.now(), g);
+  collector_.log_drain(sim_.now(), g);
   if (on_unplaceable_) on_unplaceable_(g);
   rehome_tasks_from(g);
 }
@@ -353,12 +347,9 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   gpus_.push_back(std::make_unique<gpusim::Gpu>(dev_sim, node.resolved(),
                                                 seed_rng_.next_u64()));
   schedulers_.push_back(std::make_unique<rt::Scheduler>(
-      dev_sim, *gpus_.back(), sched_cfg_, collector_));
+      dev_sim, *gpus_.back(), sched_cfg_, &collector_));
   schedulers_.back()->set_device_id(g);
-  if (collector_ && collector_->gpu_count() > 0) {
-    collector_->grow_gpu_count(g + 1);
-  }
-  if (collector_) collector_->grow_lanes(g + 1);
+  collector_.grow_gpu_count(g + 1);
   // Register every logical task on the new device, non-resident (homes do
   // not move on scale-up; load reaches the device through routing). Task
   // ids line up with every other scheduler by construction.
@@ -372,10 +363,8 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " added (scale-up), compute scale "
                  << node.compute_scale;
-  if (collector_) {
-    collector_->log_fault(sim_.now(), g, metrics::EventCause::kScaleUp,
-                          node.compute_scale);
-  }
+  collector_.log_fault(sim_.now(), g, metrics::EventCause::kScaleUp,
+                       node.compute_scale);
   return g;
 }
 

@@ -100,11 +100,12 @@ class Fleet {
   /// stays on the control shard. With zero device shards the engine is the
   /// single-threaded simulator, bit for bit. The fleet must be sized to the
   /// shard count: device_shards() must equal the configured device count
-  /// (or be 0). All job and stage events flow into `collector` (may be
-  /// null), stamped with the device index. Device g's jitter seed is the
-  /// g-th draw of common::Rng(config.seed).
+  /// (or be 0). All job and stage events flow into `collector`, stamped
+  /// with the device index; the fleet sizes the collector's per-device
+  /// lanes here and grows them in add_gpu_now. Device g's jitter seed is
+  /// the g-th draw of common::Rng(config.seed).
   Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
-        metrics::Collector* collector);
+        metrics::Collector& collector);
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
@@ -317,8 +318,8 @@ class Fleet {
   /// Scale-up: appends a healthy device mid-run. Its jitter seed is the
   /// next draw of the fleet's seed sequence (so a run with an add at time T
   /// is a pure function of (config, seed, T)), every registered task is
-  /// added to its scheduler non-resident, and the collector's routing
-  /// counters grow in place. The caller owns AFET seeding and the offline
+  /// added to its scheduler non-resident, and the collector grows a lane
+  /// for it in place. The caller owns AFET seeding and the offline
   /// phase on the new device (see run_offline_phase(g)); until then its
   /// tasks fall back to late context assignment. Returns the new index.
   int add_gpu_now(const GpuNodeSpec& node);
@@ -358,7 +359,7 @@ class Fleet {
   // the seed sequence the constructor drew per-GPU seeds from (a member so
   // a device added mid-run continues the same deterministic sequence).
   rt::SchedulerConfig sched_cfg_;
-  metrics::Collector* collector_ = nullptr;
+  metrics::Collector& collector_;
   common::Rng seed_rng_{0};
   std::function<void(int)> on_unplaceable_;
   std::uint64_t jobs_lost_ = 0;

@@ -78,7 +78,7 @@ std::vector<int> pack_homes(const std::vector<double>& task_load,
 
 Rebalancer::Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
                        const RebalanceConfig& config,
-                       metrics::Collector* collector)
+                       metrics::Collector& collector)
     : sim_(sim),
       fleet_(fleet),
       router_(router),
@@ -170,15 +170,11 @@ void Rebalancer::steal_scan(int victim) {
       continue;
     }
     fleet_.scheduler(victim).revoke_job(j.job_id);
-    ++steals_;
     ++taken;
     DARIS_LOG_INFO << "rebalance: t=" << common::to_us(now) << "us steal task "
                    << j.task_id << " job " << j.job_id << " gpu " << victim
                    << " -> " << thief;
-    if (collector_) {
-      collector_->on_steal(victim, thief);
-      collector_->log_steal(now, victim, thief, j.task_id);
-    }
+    collector_.on_steal(now, victim, thief, j.task_id);
   }
 }
 

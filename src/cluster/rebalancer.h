@@ -20,7 +20,7 @@
 //    a failed admission has no side effects and the job stays put), then
 //    the victim unwinds it. No weights move: thieves are warm by
 //    construction, which is what makes stealing cheap enough to run per
-//    backlog trip.
+//    backlog trip. Each claim is one metrics::Collector::on_steal call.
 //
 //  - Demand-aware re-homing (proactive, periodic). A fixed-cadence event
 //    samples cumulative per-task release counts into a private
@@ -99,7 +99,7 @@ std::vector<int> pack_homes(const std::vector<double>& task_load,
 class Rebalancer {
  public:
   Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
-             const RebalanceConfig& config, metrics::Collector* collector);
+             const RebalanceConfig& config, metrics::Collector& collector);
 
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
@@ -110,8 +110,6 @@ class Rebalancer {
   /// fault schedule is posted, before the run starts.
   void start(common::Time horizon);
 
-  /// Queued LP jobs claimed off a backlogged GPU by a peer.
-  std::uint64_t steals() const { return steals_; }
   /// Steal scans executed (one per backlog trip, deduped while pending).
   std::uint64_t steal_scans() const { return steal_scans_; }
   /// Homes moved by demand-aware rounds.
@@ -130,11 +128,10 @@ class Rebalancer {
   Fleet& fleet_;
   Router& router_;
   RebalanceConfig config_;
-  metrics::Collector* collector_;
+  metrics::Collector& collector_;
   common::Duration period_ = 0;
   common::Time horizon_ = 0;
   int round_ = 0;
-  std::uint64_t steals_ = 0;
   std::uint64_t steal_scans_ = 0;
   std::uint64_t rehomes_ = 0;
   std::uint64_t rehome_rounds_ = 0;

@@ -12,7 +12,7 @@ using metrics::EventCause;
 ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
                                    Router& router,
                                    const ResilienceConfig& config,
-                                   metrics::Collector* collector)
+                                   metrics::Collector& collector)
     : sim_(sim),
       fleet_(fleet),
       router_(router),
@@ -85,10 +85,8 @@ void ResiliencePolicy::after_attempt(int task_id, common::Time released,
   if (pol.backoff == RetryPolicy::Backoff::kNone) return;
   if (attempt >= pol.max_attempts) {
     ++abandoned_attempts_;
-    if (collector_) {
-      collector_->log_retry(sim_.now(), -1, task_id,
-                            EventCause::kMaxAttempts, attempt);
-    }
+    collector_.log_retry(sim_.now(), -1, task_id, EventCause::kMaxAttempts,
+                         attempt);
     return;
   }
   schedule_retry(task_id, released, attempt);
@@ -126,23 +124,17 @@ void ResiliencePolicy::fire_retry(int task_id, common::Time released,
   // abandoned — releasing it would only burn GPU time on a guaranteed miss.
   if (now >= released + spec.relative_deadline) {
     ++abandoned_expired_;
-    if (collector_) {
-      collector_->log_retry(now, -1, task_id, EventCause::kExpired, attempt);
-    }
+    collector_.log_retry(now, -1, task_id, EventCause::kExpired, attempt);
     return;
   }
   if (!spend_token()) {
     ++abandoned_budget_;
-    if (collector_) {
-      collector_->log_retry(now, -1, task_id, EventCause::kBudgetExhausted,
-                            attempt);
-    }
+    collector_.log_retry(now, -1, task_id, EventCause::kBudgetExhausted,
+                         attempt);
     return;
   }
   ++retries_;
-  if (collector_) {
-    collector_->log_retry(now, -1, task_id, EventCause::kBackoff, attempt);
-  }
+  collector_.log_retry(now, -1, task_id, EventCause::kBackoff, attempt);
   const RouteResult r = router_.route_job(task_id, released);
   after_attempt(task_id, released, attempt, r);
 }
@@ -196,10 +188,8 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   if (now >= released + spec.relative_deadline) return;  // no slack to rescue
   if (!spend_token()) {
     ++abandoned_budget_;
-    if (collector_) {
-      collector_->log_retry(now, primary_gpu, task_id,
-                            EventCause::kBudgetExhausted, 1);
-    }
+    collector_.log_retry(now, primary_gpu, task_id,
+                         EventCause::kBudgetExhausted, 1);
     return;
   }
   const RouteResult h = router_.route_hedge(task_id, primary_gpu, released);
@@ -207,10 +197,8 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   ++hedges_;
   DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us hedge task "
                  << task_id << " gpu " << primary_gpu << " -> " << h.gpu;
-  if (collector_) {
-    collector_->log_hedge(now, primary_gpu, h.gpu, task_id,
-                          EventCause::kHedgeLaunch);
-  }
+  collector_.log_hedge(now, primary_gpu, h.gpu, task_id,
+                       EventCause::kHedgeLaunch);
   const std::uint64_t id = next_pair_id_++;
   HedgePair p;
   p.task = task_id;
@@ -253,17 +241,13 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   const std::uint64_t loser_job = primary_live ? p.primary_job : p.hedge_job;
   if (primary_live) {
     ++hedge_wins_;
-    if (collector_) {
-      collector_->log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
-                            EventCause::kHedgeWin);
-    }
+    collector_.log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
+                         EventCause::kHedgeWin);
   }
   if (fleet_.scheduler(loser_gpu).revoke_job(loser_job)) {
     ++hedge_cancels_;
-    if (collector_) {
-      collector_->log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
-                            EventCause::kHedgeCancel);
-    }
+    collector_.log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
+                         EventCause::kHedgeCancel);
   } else {
     ++hedge_waste_;
     if (primary_live) {
@@ -307,7 +291,7 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
   const rt::Scheduler& sch = fleet_.scheduler(g);
   const std::uint64_t done = sch.jobs_completed();
   const std::uint64_t missed = sch.jobs_missed();
-  const std::uint64_t shed = router_.shed_at(g);
+  const std::uint64_t shed = collector_.routing(g).sheds();
   const std::uint64_t d_done = done - b.last_done;
   const std::uint64_t d_missed = missed - b.last_missed;
   const std::uint64_t d_shed = shed - b.last_shed;
@@ -343,9 +327,7 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
     ++breaker_opens_;
     DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu " << g
                    << " breaker OPEN (rate " << rate << ")";
-    if (collector_) {
-      collector_->log_breaker(now, g, EventCause::kBreakerOpen, rate);
-    }
+    collector_.log_breaker(now, g, EventCause::kBreakerOpen, rate);
   };
   switch (b.state) {
     case BreakerState::kClosed:
@@ -359,9 +341,7 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
       if (now - b.opened_at >= breaker_cooldown_) {
         b.state = BreakerState::kHalfOpen;
         fleet_.set_breaker_open(g, false);
-        if (collector_) {
-          collector_->log_breaker(now, g, EventCause::kBreakerHalfOpen, rate);
-        }
+        collector_.log_breaker(now, g, EventCause::kBreakerHalfOpen, rate);
       }
       break;
     case BreakerState::kHalfOpen:
@@ -371,9 +351,7 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
         ++breaker_closes_;
         DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu "
                        << g << " breaker CLOSED (rate " << rate << ")";
-        if (collector_) {
-          collector_->log_breaker(now, g, EventCause::kBreakerClose, rate);
-        }
+        collector_.log_breaker(now, g, EventCause::kBreakerClose, rate);
       } else if (may_open) {
         open();
       }

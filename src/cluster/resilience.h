@@ -21,7 +21,7 @@
 //
 //  - Per-GPU circuit breaker. A periodic control-shard tick folds each
 //    device's completed/missed deltas (scheduler counters) with the sheds
-//    charged to it (Router::shed_at) into a rolling miss+shed rate;
+//    charged to it (RoutingCounters::sheds) into a rolling miss+shed rate;
 //    crossing `breaker_open_threshold` with enough volume opens the
 //    breaker, which masks the device from routing exactly like a draining
 //    one (Fleet::set_breaker_open folds into placeable()) — without
@@ -132,7 +132,7 @@ class ResiliencePolicy {
   /// `sim` must be the fleet's control-shard simulator (fleet.simulator()).
   ResiliencePolicy(sim::Simulator& sim, Fleet& fleet, Router& router,
                    const ResilienceConfig& config,
-                   metrics::Collector* collector);
+                   metrics::Collector& collector);
 
   ResiliencePolicy(const ResiliencePolicy&) = delete;
   ResiliencePolicy& operator=(const ResiliencePolicy&) = delete;
@@ -228,7 +228,7 @@ class ResiliencePolicy {
   Fleet& fleet_;
   Router& router_;
   ResilienceConfig config_;
-  metrics::Collector* collector_;
+  metrics::Collector& collector_;
   common::Rng rng_;
   common::Time horizon_ = 0;
   common::Duration hedge_poll_ = 0;

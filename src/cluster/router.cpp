@@ -23,7 +23,7 @@ const char* routing_policy_name(RoutingPolicy p) {
 }
 
 Router::Router(Fleet& fleet, const RouterConfig& config,
-               metrics::Collector* collector)
+               metrics::Collector& collector)
     : fleet_(fleet),
       config_(config),
       rng_(config.seed),
@@ -37,7 +37,7 @@ Router::Router(Fleet& fleet, const RouterConfig& config,
 }
 
 Router::Router(Fleet& fleet, RoutingPolicy policy, std::uint64_t seed,
-               metrics::Collector* collector)
+               metrics::Collector& collector)
     : Router(fleet, RouterConfig{policy, 0.75, false, seed}, collector) {}
 
 Router::~Router() { fleet_.set_on_unplaceable(nullptr); }
@@ -145,25 +145,14 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   ev.release = released;
   ev.relative_deadline = spec.relative_deadline;
   ev.gpu = home;
-  if (collector_) {
-    collector_->on_release(ev);
-    collector_->on_route(home);
-  }
+  collector_.on_route(ev);
 
   // Fleet admission controller: a job no device can feasibly host (model
   // fits no GPU's memory, or one job's utilisation exceeds every idle
   // context) is shed here, not bounced through placement and migration.
   if (!fleet_.feasible(task_id)) {
-    ++drops_;
-    ++infeasible_;
     ++shed_cls_[cls];
-    note_shed_at(home);
-    if (collector_) {
-      collector_->on_reject(ev);
-      collector_->on_infeasible(home);
-      collector_->log_reject(released, home, task_id,
-                             metrics::EventCause::kInfeasible);
-    }
+    collector_.on_shed(ev, metrics::EventCause::kInfeasible);
     RouteResult r;
     r.cause = metrics::EventCause::kInfeasible;
     return r;
@@ -178,15 +167,8 @@ RouteResult Router::route_job(int task_id, common::Time released) {
           ? 1
           : fleet_.scheduler(home).config().max_backlog_per_task;
   if (fleet_.active_jobs(task_id) + pending_jobs(task_id) >= backlog_cap) {
-    ++drops_;
     ++shed_cls_[cls];
-    note_shed_at(home);
-    if (collector_) {
-      collector_->on_reject(ev);
-      collector_->on_drop(home);
-      collector_->log_reject(released, home, task_id,
-                             metrics::EventCause::kBacklog);
-    }
+    collector_.on_shed(ev, metrics::EventCause::kBacklog);
     if (pressure_observer_) pressure_observer_(home);
     RouteResult r;
     r.cause = metrics::EventCause::kBacklog;
@@ -196,10 +178,7 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(home).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    if (collector_) {
-      collector_->on_home_admit(home);
-      collector_->log_admit(released, home, task_id);
-    }
+    collector_.on_admit(released, home, task_id);
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = home;
@@ -243,10 +222,7 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   ev.release = released;
   ev.relative_deadline = spec.relative_deadline;
   ev.gpu = best;
-  if (collector_) {
-    collector_->on_release(ev);
-    collector_->on_route(best);
-  }
+  collector_.on_route(ev);
 
   // The fleet-wide backlog guard is skipped by design (the primary copy
   // holds the task's backlog slot); the peer scheduler's own admission test
@@ -254,24 +230,14 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(best).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    if (collector_) {
-      collector_->on_home_admit(best);
-      collector_->log_admit(released, best, task_id);
-    }
+    collector_.on_admit(released, best, task_id);
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = best;
     r.job_id = job_id;
     return r;
   }
-  ++drops_;
   ++shed_cls_[cls];
-  note_shed_at(best);
-  if (collector_) {
-    collector_->on_reject(ev);
-    collector_->on_drop(best);
-    collector_->log_reject(released, best, task_id,
-                           metrics::EventCause::kPeerReject);
-  }
+  collector_.on_shed(ev, metrics::EventCause::kPeerReject);
   r.cause = metrics::EventCause::kPeerReject;
   return r;
 }
@@ -294,13 +260,7 @@ RouteResult Router::migrate(int task_id, int from, int peer,
           CoalesceKey{peer, fleet_.model_of(task_id)});
       if (lead != inflight_copy_.end()) {
         const common::Time arrive = inflight_.at(lead->second).arrive;
-        ++coalesced_;
-        coalesced_mb_saved_ += mb;
-        if (collector_) {
-          collector_->on_coalesce(peer, mb);
-          collector_->log_coalesce(fleet_.simulator().now(), peer, task_id,
-                                   mb);
-        }
+        collector_.on_coalesce(fleet_.simulator().now(), peer, task_id, mb);
         // The attacher's delivery event is scheduled after the leader's, so
         // at equal arrival times it runs second — the leader's delivery has
         // already warmed the model when this job is offered.
@@ -309,12 +269,7 @@ RouteResult Router::migrate(int task_id, int from, int peer,
         return pending;
       }
     }
-    ++transfers_;
-    transferred_mb_ += mb;
-    if (collector_) {
-      collector_->on_transfer(peer, mb);
-      collector_->log_transfer(fleet_.simulator().now(), peer, task_id, mb);
-    }
+    collector_.on_transfer(fleet_.simulator().now(), peer, task_id, mb);
     if (delay > 0) {
       queue_delivery(task_id, from, peer, released,
                      fleet_.simulator().now() + delay, mb,
@@ -421,11 +376,7 @@ RouteResult Router::deliver(int task_id, int from, int peer,
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(peer).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    ++migrations_;
-    if (collector_) {
-      collector_->on_cross_migration(from, peer);
-      collector_->log_migrate(fleet_.simulator().now(), from, peer, task_id);
-    }
+    collector_.on_migrate(fleet_.simulator().now(), from, peer, task_id);
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = peer;
@@ -437,22 +388,17 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
-  ++drops_;
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
   ++shed_cls_[static_cast<std::size_t>(spec.priority)];
-  note_shed_at(gpu);
-  RouteResult r;
-  r.cause = cause;
-  if (collector_ == nullptr) return r;
   metrics::JobEvent ev;
   ev.task_id = task_id;
   ev.priority = spec.priority;
   ev.release = released;
   ev.relative_deadline = spec.relative_deadline;
   ev.gpu = gpu;
-  collector_->on_reject(ev);
-  collector_->on_drop(gpu);
-  collector_->log_reject(released, gpu, task_id, cause);
+  collector_.on_shed(ev, cause);
+  RouteResult r;
+  r.cause = cause;
   return r;
 }
 
@@ -472,12 +418,6 @@ void Router::add_pending_job(int task_id, int delta) {
   } else if (delta < 0) {
     --pending_cls_[cls];
   }
-}
-
-void Router::note_shed_at(int gpu) {
-  const auto i = static_cast<std::size_t>(gpu);
-  if (i >= shed_at_.size()) shed_at_.resize(i + 1, 0);
-  ++shed_at_[i];
 }
 
 }  // namespace daris::cluster

@@ -33,8 +33,10 @@
 //    registers this through Fleet::set_on_unplaceable.
 //
 // The router owns the fleet-level release/reject accounting (the schedulers
-// run in silent mode so a retried job is not double-counted) and feeds
-// per-GPU RoutingCounters in metrics. In-flight transfer deliveries are
+// run in silent mode so a retried job is not double-counted) and reports
+// every routing decision to the collector with one call, which keeps the
+// per-GPU RoutingCounters and the event log; the router keeps no copy of
+// them. In-flight transfer deliveries are
 // simulator events that reference the router: keep it alive while the
 // simulator runs, as with the release drivers.
 //
@@ -102,10 +104,10 @@ struct RouterConfig {
 class Router {
  public:
   Router(Fleet& fleet, const RouterConfig& config,
-         metrics::Collector* collector);
+         metrics::Collector& collector);
   /// Convenience: default spill threshold.
   Router(Fleet& fleet, RoutingPolicy policy, std::uint64_t seed,
-         metrics::Collector* collector);
+         metrics::Collector& collector);
   ~Router();
 
   Router(const Router&) = delete;
@@ -133,25 +135,6 @@ class Router {
   RouteResult route_hedge(int task_id, int exclude_gpu,
                           common::Time released);
 
-  /// Jobs admitted by a peer after their routed GPU rejected them.
-  std::uint64_t cross_gpu_migrations() const { return migrations_; }
-
-  /// Jobs rejected by both the routed GPU and the offered peer, plus
-  /// infeasible ones.
-  std::uint64_t drops() const { return drops_; }
-
-  /// Jobs shed by the fleet admission controller (subset of drops()).
-  std::uint64_t infeasible_rejects() const { return infeasible_; }
-
-  /// Cross-GPU weight transfers performed (cold-model migrations).
-  std::uint64_t transfers() const { return transfers_; }
-  double transferred_mb() const { return transferred_mb_; }
-
-  /// Migrations that attached to an in-flight copy of their model instead
-  /// of shipping it again, and the MB those attachments did not re-ship.
-  std::uint64_t coalesced_transfers() const { return coalesced_; }
-  double coalesced_mb_saved() const { return coalesced_mb_saved_; }
-
   /// In-flight transfers cancelled because their target failed or drained
   /// (each job was retargeted to a placeable peer or dropped).
   std::uint64_t transfer_cancels() const { return transfer_cancels_; }
@@ -178,13 +161,6 @@ class Router {
   /// Jobs of the class still riding an in-flight weight transfer.
   std::uint64_t pending_of(common::Priority p) const {
     return pending_cls_[static_cast<std::size_t>(p)];
-  }
-
-  /// Jobs shed after being routed to GPU g (any cause) — the circuit
-  /// breaker's shed signal for the device.
-  std::uint64_t shed_at(int g) const {
-    const auto i = static_cast<std::size_t>(g);
-    return i < shed_at_.size() ? shed_at_[i] : 0;
   }
 
   /// In-flight weight transfers headed for GPU g (telemetry gauge).
@@ -260,27 +236,17 @@ class Router {
   /// in no scheduler yet, so the backlog guards must count them here).
   int pending_jobs(int task_id) const;
   void add_pending_job(int task_id, int delta);
-  /// Charges one shed to the routed GPU's breaker signal (shed_at()).
-  void note_shed_at(int gpu);
 
   Fleet& fleet_;
   RouterConfig config_;
   common::Rng rng_;
-  metrics::Collector* collector_;
+  metrics::Collector& collector_;
   int rr_next_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t infeasible_ = 0;
-  std::uint64_t transfers_ = 0;
   std::uint64_t pending_transfers_ = 0;
-  std::uint64_t coalesced_ = 0;
   std::uint64_t transfer_cancels_ = 0;
-  double transferred_mb_ = 0.0;
-  double coalesced_mb_saved_ = 0.0;
   std::uint64_t released_cls_[2] = {0, 0};
   std::uint64_t shed_cls_[2] = {0, 0};
   std::uint64_t pending_cls_[2] = {0, 0};
-  std::vector<std::uint64_t> shed_at_;  // sheds charged to the routed GPU
   std::vector<int> pending_jobs_;  // per task id
   std::vector<int> pending_to_;    // in-flight transfers per target GPU
   /// In-flight transfers by ascending id — the only iteration order any

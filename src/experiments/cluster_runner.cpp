@@ -128,11 +128,6 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   metrics::Collector collector;
   collector.set_measure_start(common::from_sec(config.warmup_s));
   collector.enable_stage_trace(config.stage_trace);
-  if (config.sharded) {
-    // Device-shard events report finishes/stages from worker threads; lanes
-    // give each device a private append target (merged after the run).
-    collector.enable_lanes(devices);
-  }
   if (config.telemetry.enabled) {
     collector.enable_event_log(config.telemetry.event_capacity);
   }
@@ -147,10 +142,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   fleet_cfg.sched = sched_cfg;
   fleet_cfg.transfer_us_per_mb = config.transfer_us_per_mb;
   fleet_cfg.seed = config.seed;
-  cluster::Fleet fleet(sharded_sim, fleet_cfg, &collector);
-  // Sized from the fleet, not the config: Fleet clamps num_gpus to >= 1 and
-  // config.nodes overrides it entirely.
-  collector.set_gpu_count(fleet.size());
+  cluster::Fleet fleet(sharded_sim, fleet_cfg, collector);
 
   // Pre-size the event pool from the task-set cardinality (one pending
   // release timer per task) plus per-stream launch/completion and per-job
@@ -240,12 +232,12 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   router_cfg.coalesce =
       config.rebalance.enabled && config.rebalance.coalesce;
   router_cfg.seed = config.seed ^ 0x90C7E6ull;
-  cluster::Router router(fleet, router_cfg, &collector);
+  cluster::Router router(fleet, router_cfg, collector);
   // The resilience layer sits between the drivers and the router. Disabled
   // (the default) it forwards every release untouched, so routing through it
   // unconditionally keeps one code path while preserving byte-identical runs.
   cluster::ResiliencePolicy resilience(sim, fleet, router, config.resilience,
-                                       &collector);
+                                       collector);
   workload::ReleaseFn to_router = [&resilience](int id) {
     resilience.release(id);
   };
@@ -320,7 +312,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   // the telemetry-inert contract is preserved — sampler registration stays
   // the final setup step whether or not rebalancing is on.
   cluster::Rebalancer rebalancer(sim, fleet, router, config.rebalance,
-                                 &collector);
+                                 collector);
   rebalancer.start(horizon);
   // Resilience breaker tick armed after the rebalancer, before the sampler
   // (same telemetry-inert ordering contract); disabled configs schedule
@@ -377,8 +369,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     });
     // Windowed DMR: misses over completions since the previous tick. The
     // window state lives inside the probe closure — sampler-owned, not
-    // simulation state. class_counts() folds un-finalized lanes, so sharded
-    // runs sample the same values the single-simulator run would.
+    // simulation state. class_counts() sums the per-device lanes, so
+    // sharded runs sample the same values the single-simulator run would.
     auto windowed_dmr = [&collector](common::Priority p) {
       return [&collector, p, last_missed = std::uint64_t{0},
               last_completed = std::uint64_t{0}]() mutable {
@@ -421,25 +413,24 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   sharded_sim.run_until(horizon);
   const double wall_ms_run = wall_ms_since(wall_run_start);
   series.stop();
-  // Fold per-device lanes into the flat summaries/traces (no-op unsharded).
-  collector.finalize_lanes();
 
   ClusterResult result;
   result.total_jps = collector.throughput_jps(horizon);
   result.hp = collector.summary(common::Priority::kHigh);
   result.lp = collector.summary(common::Priority::kLow);
-  result.cross_gpu_migrations = router.cross_gpu_migrations();
-  result.drops = router.drops();
-  result.infeasible_rejects = router.infeasible_rejects();
-  result.transfers = router.transfers();
-  result.transferred_mb = router.transferred_mb();
+  const metrics::RoutingCounters routed = collector.fleet_routing();
+  result.cross_gpu_migrations = routed.migrated_in;
+  result.drops = routed.sheds();
+  result.infeasible_rejects = routed.infeasible;
+  result.transfers = routed.transfers_in;
+  result.transferred_mb = routed.transferred_mb;
   result.rebalancing = config.rebalance.enabled;
-  result.steals = rebalancer.steals();
+  result.steals = routed.steals_in;
   result.steal_scans = rebalancer.steal_scans();
   result.rehomes = rebalancer.rehomes();
   result.rehome_rounds = rebalancer.rehome_rounds();
-  result.coalesced_transfers = router.coalesced_transfers();
-  result.coalesced_mb_saved = router.coalesced_mb_saved();
+  result.coalesced_transfers = routed.coalesced;
+  result.coalesced_mb_saved = routed.coalesced_mb;
   result.transfer_cancels = router.transfer_cancels();
   result.intra_gpu_migrations = fleet.intra_gpu_migrations();
   result.arrivals = open_loop      ? open_loop->arrivals()
@@ -473,7 +464,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
       cons.shed[c] = router.shed_of(p);
       cons.pending[c] = router.pending_of(p);
     }
-    cons.steals = rebalancer.steals();
+    cons.steals = routed.steals_in;
     const cluster::Fleet::ConservationReport rep =
         fleet.check_conservation(cons);
     result.conservation_ok = rep.ok;
@@ -487,6 +478,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     s.intra_migrations = fleet.scheduler(g).migrations();
     s.routing = collector.routing(g);
   }
+  // stage_trace() folds the lanes into a fresh vector, which is moved (not
+  // copied) into the result.
   result.stage_trace = collector.stage_trace();
 
   if (config.telemetry.enabled) {

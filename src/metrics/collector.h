@@ -2,6 +2,7 @@
 // times, and optional per-stage execution/MRET traces (Fig. 9).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -69,13 +70,15 @@ struct ClassSummary {
 };
 
 /// Cluster-level routing outcomes for one GPU (also summed fleet-wide).
-/// Filled by `cluster::Router`; zero in single-GPU runs.
+/// Filled by `cluster::Router` and `cluster::Rebalancer`.
 struct RoutingCounters {
   std::uint64_t routed = 0;        // arrivals first offered to this GPU
   std::uint64_t home_admits = 0;   // admitted by the GPU they were routed to
   std::uint64_t migrated_in = 0;   // admitted here after a peer rejected them
   std::uint64_t migrated_out = 0;  // rejected here, admitted on a peer
-  std::uint64_t dropped = 0;       // rejected here and by the offered peer
+  std::uint64_t dropped = 0;       // shed after routing here: backlog
+                                   // guard, or rejected here and by the
+                                   // offered peer
   std::uint64_t infeasible = 0;    // shed by the fleet admission controller
                                    // (charged to the task's home GPU)
   std::uint64_t transfers_in = 0;  // cross-GPU weight transfers landing here
@@ -85,6 +88,11 @@ struct RoutingCounters {
   std::uint64_t coalesced = 0;     // migrations here that attached to an
                                    // in-flight weight copy
   double coalesced_mb = 0.0;       // MB those attachments did NOT re-ship
+
+  /// Jobs shed after routing here, any cause: summed fleet-wide this is
+  /// exp::ClusterResult::drops, and per GPU the circuit breaker's shed
+  /// signal.
+  std::uint64_t sheds() const { return dropped + infeasible; }
 
   RoutingCounters& operator+=(const RoutingCounters& o) {
     routed += o.routed;
@@ -113,50 +121,43 @@ class Collector {
   /// When true, stage events are stored (memory-heavy; off by default).
   void enable_stage_trace(bool on) { trace_stages_ = on; }
 
-  /// When true, every finished job event is stored (for timeline export).
-  void enable_job_trace(bool on) { trace_jobs_ = on; }
-
   /// Measurement window: jobs finishing before `start` are warm-up and only
   /// counted toward acceptance statistics.
   void set_measure_start(Time start) { measure_start_ = start; }
+
+  // --- per-device lanes ----------------------------------------------------
+  //
+  // Every device records into its own lane: on_finish/on_stage write
+  // lane[ev.gpu] (a bare scheduler with gpu == -1 writes lane 0), and the
+  // lane also holds the device's routing counters. In a sharded fleet run
+  // finishes and stages fire from device-shard events on pool worker
+  // threads, and exactly one thread executes a given device's events in any
+  // window, so lane writers never race; every other hook (release/reject
+  // from the router, routing counters, the event log) runs in the control
+  // phase while the pool is parked at the barrier. The flat class counts
+  // hold only those control-phase releases and rejects.
+  //
+  // Readers fold the lanes on every call: counters sum, response samples
+  // concatenate in lane order (Percentiles queries are order-insensitive),
+  // and stage traces merge into (when, gpu) order. Per-lane streams are
+  // time-sorted, so one canonical timeline comes out whatever the engine,
+  // and its fold (metrics/trace_report.h tracks per-task consecutive
+  // stages, and a task occupies one device at a time) is the same sharded
+  // or not.
+
+  /// Widens the lanes to `n` devices without touching recorded state; never
+  /// shrinks. cluster::Fleet calls it on construction and on a live GPU add
+  /// (control phase only: a sharded run's lanes must not move mid-window).
+  void grow_gpu_count(int n);
+  int gpu_count() const { return static_cast<int>(lanes_.size()); }
 
   void on_release(const JobEvent& ev);
   void on_reject(const JobEvent& ev);
   void on_finish(const JobEvent& ev);
   void on_stage(const StageEvent& ev);
 
-  // --- sharded-run lanes (sim::ShardedSimulator) -------------------------
-  //
-  // In a sharded fleet run, on_finish/on_stage fire from device-shard events
-  // on pool worker threads; every other hook (release/reject from the
-  // router, routing counters, the event log) is control-phase-only and keeps
-  // writing the shared state directly. Lanes give each device a private
-  // append target so the worker-side hooks never share cache lines, let
-  // alone race: a hook with ev.gpu >= 0 writes lane[ev.gpu], and exactly one
-  // thread executes a given device's events in any window (control-phase
-  // writers run while the pool is parked at the barrier).
-  //
-  // finalize_lanes() folds the lanes back into the flat summaries/traces
-  // once the run ends: counters sum, response samples concatenate in lane
-  // order (Percentiles queries are sort-insensitive), and stage/job traces
-  // merge into (when, gpu) order — per-lane streams are already
-  // time-sorted, so a stable sort restores one canonical timeline whose
-  // fold (metrics/trace_report.h tracks per-task consecutive stages, and a
-  // task occupies one device at a time) matches the single-threaded trace.
-
-  /// Switches on per-device lanes for `devices` devices. Call before the
-  /// run; events with ev.gpu in [0, devices) then land in lanes.
-  void enable_lanes(int devices);
-  /// Widens the lane array mid-run (live GPU add); control phase only.
-  void grow_lanes(int devices);
-  bool lanes_enabled() const { return !lanes_.empty(); }
-  /// Folds lanes into the flat summaries and traces; idempotent. Until this
-  /// runs, summary()/stage_trace()/total_completed() exclude lane contents.
-  void finalize_lanes();
-
-  /// Counter-only class summary including un-finalized lane contents. Safe
-  /// and cheap to call mid-run from the control phase (telemetry probes);
-  /// identical to summary()'s counters when lanes are off or finalized.
+  /// Counter-only class summary: summary()'s counters without copying the
+  /// response samples. Cheap enough for mid-run telemetry probes.
   struct ClassCounts {
     std::uint64_t released = 0;
     std::uint64_t accepted = 0;
@@ -166,53 +167,51 @@ class Collector {
   };
   ClassCounts class_counts(Priority p) const;
 
-  /// Sizes the per-GPU routing counters (cluster runs only).
-  void set_gpu_count(int n);
-  /// Widens the per-GPU routing counters without wiping accumulated state
-  /// (mid-run autoscaling: cluster::Fleet::add_gpu_now). Never shrinks.
-  void grow_gpu_count(int n);
-  void on_route(int gpu);
-  void on_home_admit(int gpu);
-  void on_cross_migration(int from_gpu, int to_gpu);
-  void on_drop(int gpu);
-  /// Fleet admission controller shed a job no device could host.
-  void on_infeasible(int gpu);
-  /// A migration shipped `mb` of model weights onto `to_gpu`.
-  void on_transfer(int to_gpu, double mb);
-  /// A queued LP job was claimed off `victim` by `thief` (work stealing).
-  void on_steal(int victim, int thief);
-  /// A migration to `to_gpu` attached to an in-flight weight copy instead of
-  /// re-shipping `mb`.
-  void on_coalesce(int to_gpu, double mb);
+  // --- routing decisions (cluster::Router, cluster::Rebalancer) ----------
+  //
+  // One call per decision: each bumps the per-GPU RoutingCounters and, when
+  // the event log is on, appends the matching record, so the counters and
+  // the log cannot disagree.
+
+  /// A release of ev.priority routed to ev.gpu (no record: the outcome
+  /// call that follows logs it).
+  void on_route(const JobEvent& ev);
+  /// The job was admitted by the GPU it was routed to (kAdmit).
+  void on_admit(Time when, int gpu, int task);
+  /// The job was shed after routing to ev.gpu: counts a reject of its class
+  /// and an infeasible (cause kInfeasible) or dropped job on ev.gpu, and
+  /// logs kReject at ev.release.
+  void on_shed(const JobEvent& ev, EventCause cause);
+  /// Admitted on `to_gpu` after `from_gpu` rejected it (kMigrate).
+  void on_migrate(Time when, int from_gpu, int to_gpu, int task);
+  /// A migration shipped `mb` of model weights onto `to_gpu` (kTransfer).
+  void on_transfer(Time when, int to_gpu, int task, double mb);
+  /// A migration to `to_gpu` attached to an in-flight weight copy instead
+  /// of re-shipping `mb` (kCoalesce).
+  void on_coalesce(Time when, int to_gpu, int task, double mb);
+  /// A queued LP job was claimed off `victim` by `thief` (kSteal).
+  void on_steal(Time when, int victim, int thief, int task);
 
   // --- structured event log (metrics/eventlog.h) -------------------------
   //
   // Typed, timestamped records of the fleet's routing and lifecycle
-  // decisions, appended by the router and the fleet next to the counter
-  // hooks above. Disabled by default; every log_* call is a no-op until
-  // enable_event_log reserves the storage, so the always-on counters stay
-  // the only steady-state bookkeeping and telemetry-off runs do no extra
-  // work. EventLog::fold_routing reproduces the RoutingCounters from the
-  // records alone (tested), making the log the queryable source of truth.
+  // decisions: the routing calls above append theirs, and the fleet and the
+  // resilience layer log lifecycle records below. Disabled by default;
+  // nothing is appended until enable_event_log reserves the storage, so
+  // telemetry-off runs do no extra work. EventLog::fold_routing reproduces
+  // the RoutingCounters from the records alone (tested).
 
   /// Creates (or resets) the log with room for `capacity` records.
   void enable_event_log(std::size_t capacity);
   EventLog* event_log() { return event_log_.get(); }
   const EventLog* event_log() const { return event_log_.get(); }
 
-  void log_admit(Time when, int gpu, int task);
-  void log_reject(Time when, int gpu, int task, EventCause cause);
-  void log_migrate(Time when, int from_gpu, int to_gpu, int task);
-  void log_transfer(Time when, int to_gpu, int task, double mb);
   void log_fault(Time when, int gpu, EventCause cause, double value);
-  void log_rehome(Time when, int from_gpu, int to_gpu, int task);
-  /// Rehome with an explicit cause (kDemandShift for the rebalancer's
-  /// periodic moves; the overload above logs fault-driven rehomes as kNone).
+  /// Rehome of a task's home reservation; `cause` is kDemandShift for the
+  /// rebalancer's periodic moves and kNone for fault-driven rehomes.
   void log_rehome(Time when, int from_gpu, int to_gpu, int task,
                   EventCause cause);
   void log_drain(Time when, int gpu);
-  void log_steal(Time when, int victim, int thief, int task);
-  void log_coalesce(Time when, int to_gpu, int task, double mb);
   /// Resilience-layer records: a retry released or abandoned (value =
   /// attempt number), a hedge launched/won/cancelled (`gpu` = primary,
   /// `peer` = hedge device), a breaker transition (value = the window's
@@ -221,18 +220,14 @@ class Collector {
   void log_hedge(Time when, int gpu, int peer, int task, EventCause cause);
   void log_breaker(Time when, int gpu, EventCause cause, double rate);
 
-  int gpu_count() const { return static_cast<int>(routing_.size()); }
   const RoutingCounters& routing(int gpu) const {
-    return routing_[static_cast<std::size_t>(gpu)];
+    return lanes_[static_cast<std::size_t>(gpu)].routing;
   }
   /// Sum of the per-GPU routing counters.
   RoutingCounters fleet_routing() const;
 
-  const ClassSummary& summary(Priority p) const {
-    return classes_[static_cast<std::size_t>(p)];
-  }
-  const std::vector<StageEvent>& stage_trace() const { return stage_trace_; }
-  const std::vector<JobEvent>& job_trace() const { return job_trace_; }
+  ClassSummary summary(Priority p) const;
+  std::vector<StageEvent> stage_trace() const;
 
   std::uint64_t total_completed() const;
 
@@ -240,23 +235,25 @@ class Collector {
   double throughput_jps(Time horizon) const;
 
  private:
-  struct Lane {
+  // Cache-line aligned so neighbouring devices' worker threads never share
+  // a line.
+  struct alignas(64) Lane {
     ClassSummary cls[2];
     std::vector<StageEvent> stages;
-    std::vector<JobEvent> jobs;
+    RoutingCounters routing;
   };
 
-  /// Shared tail of on_finish: counts into `cls`, traces into `jobs`.
-  void record_finish(ClassSummary* cls, std::vector<JobEvent>& jobs,
-                     const JobEvent& ev);
+  Lane& lane(int gpu) {
+    assert(gpu < gpu_count());
+    return lanes_[static_cast<std::size_t>(gpu < 0 ? 0 : gpu)];
+  }
+  /// Appends a record when the event log is on.
+  void log(Time when, EventKind kind, EventCause cause, int gpu, int peer,
+           int task, double value = 0.0);
 
-  ClassSummary classes_[2];
-  std::vector<RoutingCounters> routing_;
-  std::vector<StageEvent> stage_trace_;
-  std::vector<JobEvent> job_trace_;
+  ClassSummary classes_[2];  // control-phase releases and rejects
   std::vector<Lane> lanes_;
   bool trace_stages_ = false;
-  bool trace_jobs_ = false;
   Time measure_start_ = 0;
   std::unique_ptr<EventLog> event_log_;
 };

@@ -3,11 +3,11 @@
 // transfer, fault, rehome, drain — stamped with the device id, the simulated
 // time, and a cause code.
 //
-// The log is the queryable source of truth for the fleet's routing
-// outcomes: `fold_routing()` reconstructs the per-GPU `RoutingCounters`
-// from the records alone (a unit test pins the fold against the live
-// counters), and the Perfetto export renders the records as instant events
-// on the per-GPU lanes. Records are PODs appended into a pre-reserved
+// Routing records are appended by the same metrics::Collector call that
+// bumps the per-GPU `RoutingCounters`, so the log and the counters cannot
+// drift: `fold_routing()` reconstructs the counters from the records alone
+// (a unit test pins the fold against the live counters), and the Perfetto
+// export renders the records as instant events on the per-GPU lanes. Records are PODs appended into a pre-reserved
 // vector, so steady-state logging performs no allocation (pinned in
 // tests/test_sim_alloc.cpp) and — because nothing ever reads the log during
 // the run — enabling it cannot perturb a single scheduling decision.
@@ -120,8 +120,7 @@ class EventLog {
 
   /// Reconstructs the per-GPU routing counters from the records alone.
   /// With no transfers still in flight at the end of a run this equals the
-  /// live `Collector` counters field for field — the property that makes
-  /// the log the source of truth rather than a second bookkeeping system.
+  /// live `Collector` counters field for field.
   /// `routed` is derived as the sum of per-GPU outcomes (every routed job
   /// ends in exactly one admit/migrate/reject record).
   std::vector<RoutingCounters> fold_routing(int gpu_count) const;

@@ -26,20 +26,6 @@ std::string escape(const std::string& s) {
 }
 }  // namespace
 
-void TraceRecorder::add_job_events(const std::vector<JobEvent>& jobs) {
-  for (const auto& j : jobs) {
-    TraceSpan span;
-    span.name = "job task" + std::to_string(j.task_id);
-    span.group = j.context;
-    span.lane = j.task_id;
-    span.begin = j.release;
-    span.duration = j.finish - j.release;
-    span.priority = j.priority;
-    span.missed = j.missed;
-    add(std::move(span));
-  }
-}
-
 void TraceRecorder::add_stage_events(const std::vector<StageEvent>& stages) {
   for (const auto& s : stages) {
     TraceSpan span;

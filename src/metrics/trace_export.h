@@ -1,7 +1,7 @@
 // Chrome-trace (about://tracing / Perfetto) export of scheduler activity.
 //
-// Produces the JSON array format: one complete event ("ph":"X") per job and
-// per stage execution, grouped by context (pid) and task (tid), so a run
+// Produces the JSON array format: one complete event ("ph":"X") per stage
+// execution, grouped by context or device (pid) and task (tid), so a run
 // can be inspected visually — which queue starved, where migrations landed,
 // how staging interleaves HP and LP stages.
 #pragma once
@@ -18,8 +18,8 @@
 namespace daris::metrics {
 
 struct TraceSpan {
-  std::string name;      // e.g. "task3.stage1" or "job task3"
-  int group = 0;         // pid lane (context id, or -1 for job lanes)
+  std::string name;      // e.g. "task3.stage1"
+  int group = 0;         // pid lane (device id, or -1 for one shared lane)
   int lane = 0;          // tid lane (task id)
   Time begin = 0;
   Duration duration = 0;
@@ -34,9 +34,6 @@ class TraceRecorder {
   const std::vector<TraceSpan>& spans() const { return spans_; }
   bool empty() const { return spans_.empty(); }
   std::size_t size() const { return spans_.size(); }
-
-  /// Builds job spans from finished-job events (release -> finish).
-  void add_job_events(const std::vector<JobEvent>& jobs);
 
   /// Builds stage spans from a stage trace (needs task -> context mapping
   /// only for lane grouping; pass -1 groups everything together).

@@ -33,10 +33,7 @@ struct Harness {
     cfg.sched.num_contexts = num_contexts;
     model = std::make_unique<dnn::CompiledModel>(
         dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
-    collector.set_gpu_count(cfg.nodes.empty()
-                                ? num_gpus
-                                : static_cast<int>(cfg.nodes.size()));
-    fleet = std::make_unique<Fleet>(engine, cfg, &collector);
+    fleet = std::make_unique<Fleet>(engine, cfg, collector);
   }
 
   /// Adds a task whose AFET (and so utilisation ~ total_afet/period) is
@@ -67,13 +64,13 @@ TEST(Router, RoundRobinCyclesGpusForLpJobs) {
   // Four light LP tasks, one release each: round-robin must alternate GPUs.
   for (int i = 0; i < 4; ++i) h.add_task(Priority::kLow, 500.0, i % 2);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kRoundRobin, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kRoundRobin, 1, h.collector);
   for (int i = 0; i < 4; ++i) router.release(i);
   EXPECT_EQ(h.collector.routing(0).routed, 2u);
   EXPECT_EQ(h.collector.routing(1).routed, 2u);
   EXPECT_EQ(h.collector.routing(0).home_admits, 2u);
   EXPECT_EQ(h.collector.routing(1).home_admits, 2u);
-  EXPECT_EQ(router.drops(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 0u);
 }
 
 TEST(Router, ModelAffinityRoutesToHomeGpu) {
@@ -81,7 +78,7 @@ TEST(Router, ModelAffinityRoutesToHomeGpu) {
   const int a = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/1);
   const int b = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
   EXPECT_EQ(h.collector.routing(1).routed, 1u);
@@ -95,7 +92,7 @@ TEST(Router, HpJobsAlwaysStartAtTheirHomeGpu) {
   const int hp = h.add_task(Priority::kHigh, 500.0, /*home_gpu=*/1);
   h.fleet->run_offline_phase();
   // Round-robin would start at GPU 0; HP placement must ignore the policy.
-  Router router(*h.fleet, RoutingPolicy::kRoundRobin, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kRoundRobin, 1, h.collector);
   router.release(hp);
   EXPECT_EQ(h.collector.routing(1).routed, 1u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
@@ -107,7 +104,7 @@ TEST(Router, LeastUtilizationPrefersIdleGpu) {
   const int a = h.add_task(Priority::kLow, 3000.0, 0);
   const int b = h.add_task(Priority::kLow, 3000.0, 1);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(a);  // ties break to GPU 0
   EXPECT_GT(h.fleet->load(0), 0.0);
   router.release(b);  // GPU 0 now carries load, so GPU 1 must win
@@ -123,19 +120,20 @@ TEST(Router, CrossGpuMigrationOnAdmissionFailure) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
-  EXPECT_EQ(router.cross_gpu_migrations(), 1u);
-  EXPECT_EQ(router.drops(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 1u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 0u);
   EXPECT_EQ(h.collector.routing(0).migrated_out, 1u);
   EXPECT_EQ(h.collector.routing(1).migrated_in, 1u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
   // GPU 1 was cold for this model: the (zero-delay) migration shipped the
   // weights and pinned them, so the next migration there is transfer-free.
-  EXPECT_EQ(router.transfers(), 1u);
-  EXPECT_DOUBLE_EQ(router.transferred_mb(), h.model->weight_mb);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 1u);
+  EXPECT_DOUBLE_EQ(h.collector.fleet_routing().transferred_mb,
+                   h.model->weight_mb);
   EXPECT_TRUE(h.fleet->model_hot(1, b));
 }
 
@@ -144,11 +142,11 @@ TEST(Router, DropsWhenNoPeerCanAdmit) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
-  EXPECT_EQ(router.drops(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 0u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
   EXPECT_EQ(h.collector.routing(0).dropped, 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).rejected, 1u);
 }
@@ -160,11 +158,11 @@ TEST(Router, FleetWideBacklogGuardShedsLpEverywhere) {
   // though the peer GPU is idle (the paper's single-GPU shedding rule).
   const int a = h.add_task(Priority::kLow, 500.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(a);
   router.release(a);
-  EXPECT_EQ(router.drops(), 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
 }
 
@@ -174,7 +172,7 @@ TEST(Router, HybridStaysHomeUnderLightLoad) {
   h.fleet->run_offline_phase();
   RouterConfig cfg;
   cfg.policy = RoutingPolicy::kHybrid;
-  Router router(*h.fleet, cfg, &h.collector);
+  Router router(*h.fleet, cfg, h.collector);
   router.release(a);
   // Home relative load is 0 < threshold: affinity wins, no spill.
   EXPECT_EQ(h.collector.routing(1).routed, 1u);
@@ -190,14 +188,15 @@ TEST(Router, HybridSpillsWhenHomeLoadCrossesThreshold) {
   h.fleet->run_offline_phase();
   RouterConfig cfg;
   cfg.policy = RoutingPolicy::kHybrid;
-  Router router(*h.fleet, cfg, &h.collector);
+  Router router(*h.fleet, cfg, h.collector);
   router.release(heavy);
   EXPECT_EQ(h.collector.routing(0).routed, 1u);
   // Home now at relative load 0.8; the idle peer scores better: spill.
   router.release(light);
   EXPECT_EQ(h.collector.routing(1).routed, 1u);
   EXPECT_EQ(h.collector.routing(1).home_admits, 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);  // first-offer, not a retry
+  // First offer, not a retry.
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 0u);
 }
 
 TEST(Router, HybridDoesNotSpillToBusierPeer) {
@@ -208,7 +207,7 @@ TEST(Router, HybridDoesNotSpillToBusierPeer) {
   h.fleet->run_offline_phase();
   RouterConfig cfg;
   cfg.policy = RoutingPolicy::kHybrid;
-  Router router(*h.fleet, cfg, &h.collector);
+  Router router(*h.fleet, cfg, h.collector);
   router.release(peer_load);  // GPU 1 at 0.9
   router.release(heavy);      // GPU 0 at 0.8
   router.release(light);
@@ -223,14 +222,14 @@ TEST(Router, MigrationToColdPeerPaysTransferDelay) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
   // The peer is cold for ResNet18: the weights must be shipped first, so
   // the migration is in flight, not landed.
   EXPECT_EQ(router.pending_transfers(), 1u);
-  EXPECT_EQ(router.transfers(), 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
   // After weight_mb * 100 us the copy lands, the job is admitted on the
   // peer, and the model is pinned hot there.
@@ -238,8 +237,8 @@ TEST(Router, MigrationToColdPeerPaysTransferDelay) {
       common::from_us(h.model->weight_mb * 100.0);
   h.sim.run_until(delay + common::from_us(50.0));
   EXPECT_EQ(router.pending_transfers(), 0u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 1u);
-  EXPECT_EQ(router.drops(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 1u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
   EXPECT_EQ(h.collector.routing(1).migrated_in, 1u);
   EXPECT_EQ(h.collector.routing(1).transfers_in, 1u);
@@ -256,12 +255,12 @@ TEST(Router, TransferDelayConsumesDeadlineSlack) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 5000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);  // rejected on 0 (0.9 + 0.5 > 1), cold-migrates to 1
   EXPECT_EQ(router.pending_transfers(), 1u);
   h.sim.run_until(common::from_ms(60.0));
-  EXPECT_EQ(router.cross_gpu_migrations(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).completed, 2u);
   // The transferred job's deadline did not move with the delivery: it
   // missed, and its response time includes the copy.
@@ -273,7 +272,7 @@ TEST(Router, InFlightTransferCountsTowardBacklogGuard) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);  // cold-migrating; registered in no scheduler yet
   EXPECT_EQ(router.pending_transfers(), 1u);
@@ -281,8 +280,8 @@ TEST(Router, InFlightTransferCountsTowardBacklogGuard) {
   // guard even though no scheduler holds the first job yet — not start a
   // second transfer.
   router.release(b);
-  EXPECT_EQ(router.drops(), 1u);
-  EXPECT_EQ(router.transfers(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 1u);
   EXPECT_EQ(router.pending_transfers(), 1u);
 }
 
@@ -293,13 +292,13 @@ TEST(Router, MigrationToHotPeerIsImmediate) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
   // Weights already hot on the peer: no transfer, the migration lands now.
-  EXPECT_EQ(router.transfers(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 0u);
   EXPECT_EQ(router.pending_transfers(), 0u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 1u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
 }
 
@@ -329,12 +328,12 @@ TEST(Router, MemoryInfeasibleJobIsShedByAdmissionController) {
   Harness h(2, 1, 100.0, nodes);
   const int a = h.add_task(Priority::kLow, 500.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(a);
-  EXPECT_EQ(router.drops(), 1u);
-  EXPECT_EQ(router.infeasible_rejects(), 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
-  EXPECT_EQ(router.transfers(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().infeasible, 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 0u);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 0u);
   EXPECT_EQ(h.collector.routing(0).infeasible, 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).rejected, 1u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
@@ -347,11 +346,11 @@ TEST(Router, UtilizationInfeasibleLpJobShedWithoutRetries) {
   // never pass, so the controller sheds instead of retrying on the peer.
   const int a = h.add_task(Priority::kLow, 15000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(a);
-  EXPECT_EQ(router.drops(), 1u);
-  EXPECT_EQ(router.infeasible_rejects(), 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().infeasible, 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 0u);
 }
 
 TEST(Router, HpJobsBypassUtilizationFeasibility) {
@@ -361,9 +360,9 @@ TEST(Router, HpJobsBypassUtilizationFeasibility) {
   // overload shows up as lateness, per the paper's Fig. 11 semantics.
   const int a = h.add_task(Priority::kHigh, 15000.0, /*home_gpu=*/1);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(a);
-  EXPECT_EQ(router.infeasible_rejects(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().infeasible, 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
 }
 
@@ -390,7 +389,7 @@ TEST(Router, PlacementScoreNormalisesLoadByComputeScale) {
   EXPECT_DOUBLE_EQ(h.fleet->load(0), h.fleet->load(1));
   // ...but the 2x device has twice the absolute headroom, so least-util
   // places the next job there instead of tying toward GPU 0.
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(c);
   EXPECT_EQ(h.collector.routing(1).routed, 1u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 2u);

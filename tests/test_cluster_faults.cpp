@@ -34,8 +34,7 @@ struct Harness {
     cfg.sched.num_contexts = num_contexts;
     model = std::make_unique<dnn::CompiledModel>(
         dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
-    collector.set_gpu_count(num_gpus);
-    fleet = std::make_unique<Fleet>(engine, cfg, &collector);
+    fleet = std::make_unique<Fleet>(engine, cfg, collector);
   }
 
   int add_task(Priority priority, double total_afet_us, int home_gpu) {
@@ -66,7 +65,7 @@ TEST(FleetFaults, FailStopShedsOnlyTheDeadGpusJobs) {
   const int on0 = h.add_task(Priority::kLow, 2000.0, 0);
   const int on1 = h.add_task(Priority::kLow, 2000.0, 1);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(on0);
   router.release(on1);
   ASSERT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
@@ -104,14 +103,14 @@ TEST(FleetFaults, RouterNeverPlacesOnFailedGpu) {
   h.fleet->fail_gpu_now(0);
   // Round-robin would offer GPU 0 first; the dead device must be skipped
   // for LP, and the HP job follows its rehomed reservation.
-  Router router(*h.fleet, RoutingPolicy::kRoundRobin, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kRoundRobin, 1, h.collector);
   router.release(lp);
   router.release(hp);
   EXPECT_EQ(h.collector.routing(0).routed, 0u);
   EXPECT_EQ(h.collector.routing(1).routed, 2u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 2u);
-  EXPECT_EQ(router.drops(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 0u);
 }
 
 TEST(FleetFaults, RouterNeverPlacesOnDrainingGpu) {
@@ -120,7 +119,7 @@ TEST(FleetFaults, RouterNeverPlacesOnDrainingGpu) {
   h.fleet->run_offline_phase();
   h.fleet->drain_gpu_now(0);
   EXPECT_EQ(h.fleet->health(0), GpuHealth::kDraining);
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(lp);
   EXPECT_EQ(h.collector.routing(0).routed, 0u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
@@ -133,7 +132,7 @@ TEST(FleetFaults, DrainCompletesInFlightWork) {
   Harness h(2);
   const int lp = h.add_task(Priority::kLow, 4000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(lp);
   ASSERT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
 
@@ -161,7 +160,7 @@ TEST(FleetFaults, FailCancelsInFlightTransferAndRetargetsTheJob) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);  // rejected on 0, cold-migrating to the idle GPU 1
   ASSERT_EQ(router.pending_transfers(), 1u);
@@ -175,14 +174,14 @@ TEST(FleetFaults, FailCancelsInFlightTransferAndRetargetsTheJob) {
   EXPECT_EQ(router.transfer_cancels(), 1u);
   EXPECT_EQ(router.pending_transfers_to(1), 0);
   EXPECT_EQ(router.pending_transfers(), 1u);  // the retargeted copy to GPU 2
-  EXPECT_EQ(router.transfers(), 2u);
-  EXPECT_EQ(router.drops(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 2u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 0u);
 
   h.sim.run();
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_completed(), 0u);
   EXPECT_EQ(h.fleet->scheduler(2).jobs_completed(), 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).completed, 2u);
 }
 
@@ -191,7 +190,7 @@ TEST(FleetFaults, DrainCancelsInFlightTransferToo) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
   ASSERT_EQ(router.pending_transfers_to(1), 1);
@@ -215,7 +214,7 @@ TEST(FleetFaults, CancelledTransferWithNoSurvivorDropsTheJob) {
   const int a = h.add_task(Priority::kLow, 9000.0, 0);
   const int b = h.add_task(Priority::kLow, 9000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
   ASSERT_EQ(router.pending_transfers(), 1u);
@@ -226,14 +225,14 @@ TEST(FleetFaults, CancelledTransferWithNoSurvivorDropsTheJob) {
   h.fleet->fail_gpu_now(1);
   EXPECT_EQ(router.transfer_cancels(), 1u);
   EXPECT_EQ(router.pending_transfers(), 0u);
-  EXPECT_EQ(router.drops(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
 
   // The pending-job gauge was unwound with the cancellation: once GPU 0
   // frees up, the task's next release is admitted at home rather than shed
   // by the backlog guard counting a phantom in-flight duplicate.
   h.sim.run();
   router.release(b);
-  EXPECT_EQ(router.drops(), 1u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
   h.sim.run();
   EXPECT_EQ(h.collector.summary(Priority::kLow).completed, 2u);
@@ -245,14 +244,16 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
   Harness h(1);
   const int lp = h.add_task(Priority::kLow, 5000.0, 0);
   h.fleet->run_offline_phase();
-  h.collector.enable_job_trace(true);
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
+  // Response times in ms, in finish order.
+  auto responses = [&h] {
+    return h.collector.summary(Priority::kLow).response_ms.samples();
+  };
 
   router.release(lp);
   h.sim.run();
-  ASSERT_EQ(h.collector.job_trace().size(), 1u);
-  const auto baseline = h.collector.job_trace()[0].finish -
-                        h.collector.job_trace()[0].release;
+  ASSERT_EQ(responses().size(), 1u);
+  const double baseline = responses()[0];
 
   h.fleet->slow_gpu_now(0, 0.5);
   EXPECT_DOUBLE_EQ(h.fleet->compute_scale(0), 0.5);
@@ -262,13 +263,10 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
 
   router.release(lp);
   h.sim.run();
-  ASSERT_EQ(h.collector.job_trace().size(), 2u);
-  const auto slowed = h.collector.job_trace()[1].finish -
-                      h.collector.job_trace()[1].release;
+  ASSERT_EQ(responses().size(), 2u);
   // Kernel time doubles; launch/sync overheads are host-side constants and
   // stay, so the end-to-end ratio lands between 1 and 2.
-  const double ratio = static_cast<double>(slowed) /
-                       static_cast<double>(baseline);
+  const double ratio = responses()[1] / baseline;
   EXPECT_GT(ratio, 1.15);
   EXPECT_LT(ratio, 2.05);
 
@@ -276,10 +274,8 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
   h.fleet->slow_gpu_now(0, 2.0);
   router.release(lp);
   h.sim.run();
-  ASSERT_EQ(h.collector.job_trace().size(), 3u);
-  EXPECT_EQ(h.collector.job_trace()[2].finish -
-                h.collector.job_trace()[2].release,
-            baseline);
+  ASSERT_EQ(responses().size(), 3u);
+  EXPECT_EQ(responses()[2], baseline);
 }
 
 TEST(FleetFaults, RunnerReseedsAfetForTheSlowedDevice) {
@@ -336,7 +332,7 @@ TEST(FleetFaults, AddedGpuJoinsTheFleetAndTakesPlacements) {
   // The collector's routing counters grew in place.
   EXPECT_EQ(h.collector.gpu_count(), 3);
 
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, h.collector);
   router.release(a);  // GPU 0, 1, and 2 idle: ties break to 0
   router.release(b);
   router.release(c);  // both incumbents loaded: the new device must win

@@ -33,8 +33,7 @@ struct Harness {
     cfg.sched.num_contexts = 1;
     model = std::make_unique<dnn::CompiledModel>(
         dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
-    collector.set_gpu_count(num_gpus);
-    fleet = std::make_unique<Fleet>(engine, cfg, &collector);
+    fleet = std::make_unique<Fleet>(engine, cfg, collector);
   }
 
   int add_task(Priority priority, double total_afet_us, int home_gpu) {
@@ -103,7 +102,7 @@ TEST(Donation, ReleaseThenRevokeMovesAQueuedJob) {
   const int a = h.add_task(Priority::kLow, 2000.0, 0);
   const int b = h.add_task(Priority::kLow, 2000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
 
   router.release(a);
   // Let a's first stage reach the stream, then queue b behind it.
@@ -141,7 +140,7 @@ TEST(Donation, StartedJobsAreNeitherListedNorRevocable) {
   Harness h(2);
   const int a = h.add_task(Priority::kLow, 2000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   h.sim.run_until(common::from_us(100.0));  // first stage is on the stream
   EXPECT_TRUE(h.fleet->scheduler(0).donatable_lp_jobs().empty());
@@ -202,15 +201,17 @@ TEST(Coalesce, ConcurrentColdMigrationsShareOneCopy) {
   Router router(*h.fleet,
                 RouterConfig{RoutingPolicy::kModelAffinity, 0.75,
                              /*coalesce=*/true, 1},
-                &h.collector);
+                h.collector);
 
   router.release(a);  // fills GPU 0 (0.9)
   router.release(b);  // rejected on 0, cold-migrates: leads the copy to 1
   router.release(c);  // rejected on 0, attaches to b's in-flight copy
-  EXPECT_EQ(router.transfers(), 1u);
-  EXPECT_DOUBLE_EQ(router.transferred_mb(), h.model->weight_mb);
-  EXPECT_EQ(router.coalesced_transfers(), 1u);
-  EXPECT_DOUBLE_EQ(router.coalesced_mb_saved(), h.model->weight_mb);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 1u);
+  EXPECT_DOUBLE_EQ(h.collector.fleet_routing().transferred_mb,
+                   h.model->weight_mb);
+  EXPECT_EQ(h.collector.fleet_routing().coalesced, 1u);
+  EXPECT_DOUBLE_EQ(h.collector.fleet_routing().coalesced_mb,
+                   h.model->weight_mb);
   EXPECT_EQ(router.pending_transfers(), 2u);
   EXPECT_EQ(router.pending_transfers_to(1), 2);
 
@@ -218,8 +219,8 @@ TEST(Coalesce, ConcurrentColdMigrationsShareOneCopy) {
   // attached job is admitted against the now-hot weights.
   h.sim.run();
   EXPECT_EQ(router.pending_transfers(), 0u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 2u);
-  EXPECT_EQ(router.drops(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().migrated_in, 2u);
+  EXPECT_EQ(h.collector.fleet_routing().sheds(), 0u);
   EXPECT_TRUE(h.fleet->model_hot(1, b));
   EXPECT_EQ(h.fleet->scheduler(1).jobs_completed(), 2u);
 }
@@ -230,14 +231,15 @@ TEST(Coalesce, OffByDefaultShipsEveryCopy) {
   const int b = h.add_task(Priority::kLow, 3000.0, 0);
   const int c = h.add_task(Priority::kLow, 3000.0, 0);
   h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, h.collector);
   router.release(a);
   router.release(b);
   router.release(c);
   // The legacy accounting: both migrations charge the full copy.
-  EXPECT_EQ(router.transfers(), 2u);
-  EXPECT_DOUBLE_EQ(router.transferred_mb(), 2.0 * h.model->weight_mb);
-  EXPECT_EQ(router.coalesced_transfers(), 0u);
+  EXPECT_EQ(h.collector.fleet_routing().transfers_in, 2u);
+  EXPECT_DOUBLE_EQ(h.collector.fleet_routing().transferred_mb,
+                   2.0 * h.model->weight_mb);
+  EXPECT_EQ(h.collector.fleet_routing().coalesced, 0u);
 }
 
 // --- cluster-level contracts -----------------------------------------------

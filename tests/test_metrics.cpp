@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/time.h"
 #include "metrics/collector.h"
 
@@ -94,6 +97,62 @@ TEST(Collector, StageTraceGating) {
   c.on_stage(ev);
   ASSERT_EQ(c.stage_trace().size(), 1u);
   EXPECT_EQ(c.stage_trace()[0].execution_us, 5.0);
+}
+
+TEST(Collector, ReadsFoldEveryDeviceLaneWithoutAFinalizeStep) {
+  Collector c;
+  c.grow_gpu_count(3);
+  c.enable_stage_trace(true);
+  // Finishes from three devices, interleaved across lanes.
+  const int finish_gpu[] = {2, 0, 1, 2, 1, 0, 2};
+  const double finish_ms[] = {4, 5, 6, 7, 30, 9, 40};  // > 20 ms misses
+  for (int i = 0; i < 7; ++i) {
+    JobEvent ev = finished_job(Priority::kLow, 0, finish_ms[i], 20);
+    ev.gpu = finish_gpu[i];
+    c.on_finish(ev);
+  }
+  // Stages, each lane's stream time-sorted but the lanes interleaved so the
+  // recording order is not the (when, gpu) order.
+  struct At {
+    int gpu;
+    double when_ms;
+  };
+  const At stages[] = {{2, 5}, {0, 5}, {1, 3}, {2, 7}, {0, 7}, {1, 9}, {0, 8}};
+  for (const At& at : stages) {
+    StageEvent ev;
+    ev.gpu = at.gpu;
+    ev.when = from_ms(at.when_ms);
+    c.on_stage(ev);
+  }
+
+  const ClassSummary lp = c.summary(Priority::kLow);
+  EXPECT_EQ(lp.accepted, 7u);
+  EXPECT_EQ(lp.completed, 7u);
+  EXPECT_EQ(lp.missed, 2u);
+  std::vector<double> samples = lp.response_ms.samples();
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(samples, (std::vector<double>{4, 5, 6, 7, 9, 30, 40}));
+  const Collector::ClassCounts counts = c.class_counts(Priority::kLow);
+  EXPECT_EQ(counts.completed, 7u);
+  EXPECT_EQ(counts.missed, 2u);
+  EXPECT_EQ(c.total_completed(), 7u);
+
+  const std::vector<StageEvent> trace = c.stage_trace();
+  const At want[] = {{1, 3}, {0, 5}, {2, 5}, {0, 7}, {2, 7}, {0, 8}, {1, 9}};
+  ASSERT_EQ(trace.size(), 7u);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].gpu, want[i].gpu) << i;
+    EXPECT_EQ(trace[i].when, from_ms(want[i].when_ms)) << i;
+  }
+}
+
+TEST(Collector, BareSchedulerEventsLandInLaneZero) {
+  Collector c;  // never sized: one lane
+  JobEvent ev = finished_job(Priority::kHigh, 0, 3, 10);
+  ev.gpu = -1;
+  c.on_finish(ev);
+  EXPECT_EQ(c.gpu_count(), 1);
+  EXPECT_EQ(c.summary(Priority::kHigh).completed, 1u);
 }
 
 TEST(ClassSummary, EmptyIsZero) {

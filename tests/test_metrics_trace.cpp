@@ -12,6 +12,7 @@ namespace daris::metrics {
 namespace {
 
 using common::from_ms;
+using common::from_us;
 
 TEST(TraceExport, EmptyIsValidJsonArray) {
   EXPECT_EQ(to_chrome_trace_json({}), "[\n]\n");
@@ -290,22 +291,6 @@ TEST(TraceExport, UnifiedExportParsesAsJson) {
   EXPECT_FALSE(JsonChecker(std::string("[\"a\nb\"]")).valid());
 }
 
-TEST(TraceRecorder, BuildsJobSpans) {
-  JobEvent j;
-  j.task_id = 3;
-  j.priority = common::Priority::kHigh;
-  j.release = from_ms(10.0);
-  j.finish = from_ms(14.0);
-  j.context = 1;
-  j.missed = false;
-  TraceRecorder rec;
-  rec.add_job_events({j});
-  ASSERT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec.spans()[0].name, "job task3");
-  EXPECT_EQ(rec.spans()[0].group, 1);
-  EXPECT_EQ(rec.spans()[0].duration, from_ms(4.0));
-}
-
 TEST(TraceRecorder, BuildsStageSpansBackdatedByExecution) {
   StageEvent s;
   s.task_id = 2;
@@ -396,19 +381,34 @@ TEST(TraceReport, StarvationFactorConfigurable) {
   EXPECT_EQ(trace_report(stream, 2.0).starved_stages, 0u);
 }
 
+/// Routes four jobs through every routing call: three to GPU 0 (admitted,
+/// migrated to GPU 1 with a weight transfer, shed as infeasible) and one to
+/// GPU 1 (shed after a peer rejection).
+void route_four_jobs(Collector& c) {
+  c.grow_gpu_count(2);
+  JobEvent ev;
+  ev.priority = common::Priority::kLow;
+  ev.gpu = 0;
+  for (int task = 0; task < 3; ++task) {
+    ev.task_id = task;
+    c.on_route(ev);
+  }
+  c.on_admit(from_us(1.0), /*gpu=*/0, /*task=*/0);
+  c.on_transfer(from_us(2.0), /*to_gpu=*/1, /*task=*/1, /*mb=*/44.5);
+  c.on_migrate(from_us(3.0), /*from_gpu=*/0, /*to_gpu=*/1, /*task=*/1);
+  ev.task_id = 2;
+  c.on_shed(ev, EventCause::kInfeasible);
+  ev.task_id = 3;
+  ev.gpu = 1;
+  c.on_route(ev);
+  c.on_shed(ev, EventCause::kPeerReject);
+  c.on_transfer(from_us(4.0), /*to_gpu=*/1, /*task=*/3, /*mb=*/0.5);
+}
+
 TEST(CollectorRouting, PerGpuAndFleetCounters) {
   Collector c;
-  c.set_gpu_count(2);
-  c.on_route(0);
-  c.on_route(0);
-  c.on_route(1);
-  c.on_home_admit(0);
-  c.on_cross_migration(/*from=*/0, /*to=*/1);
-  c.on_drop(1);
-  c.on_infeasible(0);
-  c.on_transfer(/*to_gpu=*/1, /*mb=*/44.5);
-  c.on_transfer(/*to_gpu=*/1, /*mb=*/0.5);
-  EXPECT_EQ(c.routing(0).routed, 2u);
+  route_four_jobs(c);
+  EXPECT_EQ(c.routing(0).routed, 3u);
   EXPECT_EQ(c.routing(0).home_admits, 1u);
   EXPECT_EQ(c.routing(0).migrated_out, 1u);
   EXPECT_EQ(c.routing(0).infeasible, 1u);
@@ -417,24 +417,41 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_EQ(c.routing(1).transfers_in, 2u);
   EXPECT_DOUBLE_EQ(c.routing(1).transferred_mb, 45.0);
   const RoutingCounters fleet = c.fleet_routing();
-  EXPECT_EQ(fleet.routed, 3u);
+  EXPECT_EQ(fleet.routed, 4u);
   EXPECT_EQ(fleet.migrated_in, 1u);
   EXPECT_EQ(fleet.migrated_out, 1u);
   EXPECT_EQ(fleet.dropped, 1u);
   EXPECT_EQ(fleet.infeasible, 1u);
+  EXPECT_EQ(fleet.sheds(), 2u);
   EXPECT_EQ(fleet.transfers_in, 2u);
   EXPECT_DOUBLE_EQ(fleet.transferred_mb, 45.0);
+  // Routing and shedding also count the class's releases and rejects.
+  EXPECT_EQ(c.summary(common::Priority::kLow).released, 4u);
+  EXPECT_EQ(c.summary(common::Priority::kLow).rejected, 2u);
 }
 
-TEST(CollectorJobTrace, GatedByFlag) {
+TEST(CollectorRouting, EachDecisionIsOneRecordWhenTheLogIsOn) {
   Collector c;
-  JobEvent ev;
-  ev.priority = common::Priority::kHigh;
-  c.on_finish(ev);
-  EXPECT_TRUE(c.job_trace().empty());
-  c.enable_job_trace(true);
-  c.on_finish(ev);
-  EXPECT_EQ(c.job_trace().size(), 1u);
+  c.enable_event_log(16);
+  route_four_jobs(c);
+  // on_route only counts; the six outcome calls append one record each.
+  ASSERT_EQ(c.event_log()->size(), 6u);
+  const auto fold = c.event_log()->fold_routing(c.gpu_count());
+  ASSERT_EQ(fold.size(), 2u);
+  for (std::size_t g = 0; g < fold.size(); ++g) {
+    const RoutingCounters& live = c.routing(static_cast<int>(g));
+    EXPECT_EQ(fold[g].routed, live.routed) << g;
+    EXPECT_EQ(fold[g].home_admits, live.home_admits) << g;
+    EXPECT_EQ(fold[g].migrated_in, live.migrated_in) << g;
+    EXPECT_EQ(fold[g].migrated_out, live.migrated_out) << g;
+    EXPECT_EQ(fold[g].dropped, live.dropped) << g;
+    EXPECT_EQ(fold[g].infeasible, live.infeasible) << g;
+    EXPECT_EQ(fold[g].transfers_in, live.transfers_in) << g;
+    EXPECT_EQ(fold[g].transferred_mb, live.transferred_mb) << g;
+  }
+  // A shed is logged at the job's release time.
+  EXPECT_EQ(c.event_log()->events()[3].kind, EventKind::kReject);
+  EXPECT_EQ(c.event_log()->events()[3].cause, EventCause::kInfeasible);
 }
 
 }  // namespace
