@@ -503,7 +503,6 @@ void Scheduler::finish_job(JobRuntime& jr) {
     ev.finish = now;
     ev.relative_deadline = t.spec().relative_deadline;
     ev.missed = missed;
-    ev.context = job.context;
     ev.gpu = device_id_;
     collector_->on_finish(ev);
   }
@@ -635,7 +634,6 @@ std::size_t Scheduler::fail_all_jobs() {
       ev.finish = now;
       ev.relative_deadline = t.spec().relative_deadline;
       ev.missed = true;
-      ev.context = job.context;
       ev.gpu = device_id_;
       collector_->on_finish(ev);
     }

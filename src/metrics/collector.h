@@ -29,9 +29,7 @@ struct JobEvent {
   Time release = 0;
   Time finish = 0;
   Duration relative_deadline = 0;
-  bool accepted = true;
   bool missed = false;
-  int context = -1;
   int gpu = -1;  // device index in a cluster run (-1: single GPU)
 };
 
