@@ -1,6 +1,7 @@
 #include "sim/sharded.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace daris::sim {
 
@@ -19,9 +20,10 @@ inline void cpu_relax() {
 #endif
 }
 
-// Spin budget before falling back to the condition variable. Generous enough
-// that back-to-back windows never sleep, small enough that an idle pool
-// (e.g. during a long serial control cascade) parks within ~100us.
+// Spin budget before falling back to the condition variable (or, mid-run, to
+// yielding). Generous enough that back-to-back windows never sleep, small
+// enough that an idle pool (e.g. during a long serial control cascade) parks
+// or yields within ~100us.
 constexpr int kSpinIterations = 20000;
 
 }  // namespace
@@ -41,6 +43,7 @@ ShardedSimulator::ShardedSimulator(int device_shards, int threads) {
   // would burn whole scheduler quanta per window, so the pool drops straight
   // to the futex path and never goes hot.
   oversubscribed_ = threads_ > hw;
+  cursors_ = std::make_unique<Cursor[]>(static_cast<std::size_t>(threads_));
   // Lanes 0..threads_-2 are pool workers; lane threads_-1 is the caller.
   for (int lane = 0; lane + 1 < threads_; ++lane) {
     workers_.emplace_back([this, lane] { worker_loop(lane); });
@@ -62,22 +65,50 @@ int ShardedSimulator::add_shard() {
   return static_cast<int>(shards_.size()) - 1;
 }
 
-std::size_t ShardedSimulator::run_lane(int lane, common::Time bound,
-                                       std::size_t num_shards) {
-  std::size_t executed = 0;
-  for (std::size_t s = static_cast<std::size_t>(lane); s < num_shards;
-       s += static_cast<std::size_t>(threads_)) {
-    executed += shards_[s]->run_until(bound);
+std::ptrdiff_t ShardedSimulator::claim(int lane, std::uint32_t tag) {
+  std::atomic<std::uint64_t>& word =
+      cursors_[static_cast<std::size_t>(lane)].word;
+  std::uint64_t cur = word.load(std::memory_order_acquire);
+  for (;;) {
+    const std::uint64_t next = (cur >> 16) & 0xFFFF;
+    if ((cur >> 32) != tag || next >= (cur & 0xFFFF)) return -1;
+    if (word.compare_exchange_weak(cur, cur + (1ull << 16),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+      return lane + static_cast<std::ptrdiff_t>(next) * threads_;
+    }
   }
-  return executed;
+}
+
+void ShardedSimulator::join_window(int lane, std::uint32_t tag) {
+  std::size_t shards = 0;
+  std::size_t executed = 0;
+  for (int i = 0; i < threads_; ++i) {
+    const int owner = (lane + i) % threads_;
+    for (std::ptrdiff_t s = claim(owner, tag); s >= 0; s = claim(owner, tag)) {
+      executed += shards_[static_cast<std::size_t>(s)]->run_until(bound_);
+      ++shards;
+    }
+  }
+  if (shards == 0) return;
+  if (executed != 0) drained_.fetch_add(executed, std::memory_order_relaxed);
+  if (shards_left_.fetch_sub(shards, std::memory_order_seq_cst) == shards) {
+    // Last shard reported: notify only if the caller gave up spinning —
+    // caller_waiting_ vs shards_left_ is the same Dekker pairing as epoch_
+    // vs sleepers_, so a caller about to wait cannot be missed.
+    if (caller_waiting_.load(std::memory_order_seq_cst)) {
+      std::lock_guard<std::mutex> lk(mu_);
+      cv_done_.notify_one();
+    }
+  }
 }
 
 std::size_t ShardedSimulator::drain_shards(common::Time bound) {
   const std::size_t n = shards_.size();
   if (n == 0) return 0;
   // Window fast path: shard heaps are quiescent here (the previous parallel
-  // phase completed through the pending_workers_ barrier), so their heads can
-  // be read directly. Windows whose shards hold nothing at or before `bound`
+  // phase completed through the shards_left_ barrier), so their heads can be
+  // read directly. Windows whose shards hold nothing at or before `bound`
   // — back-to-back control timers, mostly — skip the dispatch entirely.
   bool any_work = false;
   for (const auto& s : shards_) {
@@ -92,21 +123,28 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     for (auto& s : shards_) executed += s->run_until(bound);
     return executed;
   }
+  const auto lanes = static_cast<std::size_t>(threads_);
+  assert(n / lanes < 0xFFFF);
+  const std::uint64_t e = epoch_.load(std::memory_order_relaxed) + 1;
+  const auto tag = static_cast<std::uint32_t>(e);
   bound_ = bound;
-  active_shards_ = n;
   drained_.store(0, std::memory_order_relaxed);
-  pending_workers_.store(static_cast<int>(workers_.size()),
-                         std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  shards_left_.store(n, std::memory_order_relaxed);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::uint64_t end = lane < n ? (n - lane + lanes - 1) / lanes : 0;
+    cursors_[lane].word.store(std::uint64_t{tag} << 32 | end,
+                              std::memory_order_release);
+  }
+  epoch_.store(e, std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     // A worker past its sleepers_ increment is inside the mutex until it
     // enters cv_work_.wait(), so locking here cannot race ahead of it.
     std::lock_guard<std::mutex> lk(mu_);
     cv_work_.notify_all();
   }
-  std::size_t executed = run_lane(threads_ - 1, bound, n);
+  join_window(threads_ - 1, tag);
   for (int spin = oversubscribed_ ? kSpinIterations : 0;
-       pending_workers_.load(std::memory_order_acquire) > 0; ++spin) {
+       shards_left_.load(std::memory_order_acquire) > 0; ++spin) {
     if (spin < kSpinIterations) {
       cpu_relax();
       continue;
@@ -115,12 +153,12 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     {
       std::unique_lock<std::mutex> lk(mu_);
       cv_done_.wait(lk, [&] {
-        return pending_workers_.load(std::memory_order_seq_cst) == 0;
+        return shards_left_.load(std::memory_order_seq_cst) == 0;
       });
     }
     caller_waiting_.store(false, std::memory_order_relaxed);
   }
-  return executed + drained_.load(std::memory_order_relaxed);
+  return drained_.load(std::memory_order_relaxed);
 }
 
 void ShardedSimulator::worker_loop(int lane) {
@@ -130,10 +168,15 @@ void ShardedSimulator::worker_loop(int lane) {
     std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
     while (e == seen && !stop_.load(std::memory_order_acquire)) {
       if (!oversubscribed_ && hot_.load(std::memory_order_relaxed)) {
-        // Mid-run: the next window is microseconds away. Spin flat out —
-        // a futex round trip here would cost more than the window itself.
-        cpu_relax();
-        spin = 0;
+        // Mid-run: the next window is microseconds away, so never park.
+        // Past the spin budget, yield: on a busy host the core goes to a
+        // runnable thread (the caller's serial control phase, say) instead
+        // of to this wait.
+        if (++spin > kSpinIterations) {
+          std::this_thread::yield();
+        } else {
+          cpu_relax();
+        }
       } else if (++spin > kSpinIterations) {
         std::unique_lock<std::mutex> lk(mu_);
         sleepers_.fetch_add(1, std::memory_order_seq_cst);
@@ -150,19 +193,7 @@ void ShardedSimulator::worker_loop(int lane) {
     }
     if (e == seen) return;  // stop_ with no new work
     seen = e;
-    const std::size_t executed = run_lane(lane, bound_, active_shards_);
-    if (executed != 0) {
-      drained_.fetch_add(executed, std::memory_order_relaxed);
-    }
-    if (pending_workers_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      // Last worker out: notify only if the caller gave up spinning —
-      // caller_waiting_ vs pending_workers_ is the same Dekker pairing as
-      // epoch_ vs sleepers_, so a caller about to wait cannot be missed.
-      if (caller_waiting_.load(std::memory_order_seq_cst)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        cv_done_.notify_one();
-      }
-    }
+    join_window(lane, static_cast<std::uint32_t>(e));
   }
 }
 

@@ -14,9 +14,12 @@
 //
 //  1. Parallel phase. Let Tc be the control shard's next event time. Every
 //     device shard runs its local events strictly *before* Tc on a small
-//     spin-then-sleep thread pool (the calling thread drains its own share).
-//     Shards never touch each other's state, so any interleaving of this
-//     phase produces the same result.
+//     spin-then-sleep thread pool. Each lane (the calling thread is one)
+//     claims its own shards first, then claims the shards other lanes have
+//     not started, so a lane the OS has descheduled delays the window by at
+//     most the one shard it is running, never by its whole share. Shards
+//     never touch each other's state, so which lane runs a shard, and any
+//     interleaving of this phase, produces the same result.
 //  2. Control phase. All device clocks advance to Tc, then the control shard
 //     drains serially through Tc — including events its callbacks schedule at
 //     Tc — in (when, seq) order. Control callbacks may freely poke device
@@ -41,6 +44,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -112,8 +116,14 @@ class ShardedSimulator {
   Simulator::Stats stats() const;
 
  private:
-  /// Drains shards [lane, lane + threads_, ...) through `bound`.
-  std::size_t run_lane(int lane, common::Time bound, std::size_t num_shards);
+  /// Claims the next unstarted shard of `lane`'s share [lane, lane +
+  /// threads_, ...) in window `tag`; -1 once that share is all claimed or the
+  /// window is over.
+  std::ptrdiff_t claim(int lane, std::uint32_t tag);
+  /// Runs every shard this thread can claim in window `tag` through bound_,
+  /// own share first, then the other lanes' (starting at `lane`'s
+  /// neighbour), and reports them to drained_/shards_left_.
+  void join_window(int lane, std::uint32_t tag);
   /// Parallel phase: every device shard runs run_until(bound).
   std::size_t drain_shards(common::Time bound);
   void worker_loop(int lane);
@@ -125,30 +135,40 @@ class ShardedSimulator {
   // (hot mode included) so oversubscribed runs cost futex waits, not quanta.
   bool oversubscribed_ = false;
 
-  // Pool coordination. A window dispatch publishes (bound_, active_shards_)
-  // and bumps epoch_; workers spin briefly on epoch_ and fall back to
-  // cv_work_. Completion is a pending_workers_ countdown the caller spins on
-  // (cv_done_ fallback, entered only after flagging caller_waiting_ so the
-  // last worker's notify is elided on the spin-success path). epoch_/
-  // sleepers_/caller_waiting_/pending_workers_ use seq_cst where the "new
-  // epoch missed by a worker about to sleep" and "finished worker missed by
-  // a caller about to wait" races must resolve Dekker-style. While hot_ is
-  // set (inside run_until) workers spin between windows without ever taking
-  // the futex path: fleet windows are microseconds apart and a sleep/wake
-  // cycle per window would dominate the run.
+  // Pool coordination. A window dispatch sets every lane's claim cursor to
+  // (window tag, next 0, end = the lane's shard count), publishes bound_,
+  // sets shards_left_ and bumps epoch_; workers spin briefly on epoch_ and
+  // fall back to cv_work_. Lanes claim shards by CAS on the cursors; a
+  // cursor still tagged with an older window refuses every claim, so a
+  // worker that wakes late touches nothing. bound_ and shards_ are read
+  // only after a successful claim: the window cannot end, and the caller
+  // cannot rewrite them, until that shard is reported. Completion is the
+  // shards_left_ countdown the caller spins on (cv_done_ fallback, entered
+  // only after flagging caller_waiting_ so the last reporter's notify is
+  // elided on the spin-success path). epoch_/sleepers_/caller_waiting_/
+  // shards_left_ use seq_cst where the "new epoch missed by a worker about
+  // to sleep" and "last shard missed by a caller about to wait" races must
+  // resolve Dekker-style. While hot_ is set (inside run_until) workers
+  // never take the futex path between windows: fleet windows are
+  // microseconds apart and a sleep/wake cycle per window would dominate the
+  // run. They yield once a spin budget runs out, so on a host with other
+  // busy processes they hand the core back instead of starving the caller.
+  struct alignas(64) Cursor {
+    std::atomic<std::uint64_t> word{0};  // tag << 32 | next << 16 | end
+  };
   std::vector<std::thread> workers_;
+  std::unique_ptr<Cursor[]> cursors_;  // one per lane
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   alignas(64) std::atomic<std::uint64_t> epoch_{0};
-  alignas(64) std::atomic<int> pending_workers_{0};
+  alignas(64) std::atomic<std::size_t> shards_left_{0};
   alignas(64) std::atomic<std::size_t> drained_{0};
   std::atomic<int> sleepers_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> hot_{false};
   std::atomic<bool> caller_waiting_{false};
-  common::Time bound_ = 0;          // published by the epoch_ bump
-  std::size_t active_shards_ = 0;   // ditto
+  common::Time bound_ = 0;  // published with the cursors
 };
 
 }  // namespace daris::sim

@@ -15,8 +15,11 @@
 //     committed fingerprint string must come out byte-identical sharded.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -247,6 +250,32 @@ TEST(ShardedDifferential, AddShardJoinsMidRunAtFleetTime) {
   s.run_until(common::from_ms(1.0));
   EXPECT_EQ(fired_on_new, 1);
   EXPECT_EQ(s.device_shards(), 3);
+}
+
+TEST(ShardedDifferential, StalledLaneDoesNotHoldBackShardsItHasNotStarted) {
+  // Two lanes: the pool worker's share is shards 0 and 2, the caller's 1
+  // and 3. Shard 0's event stalls, as a descheduled thread would, until
+  // shard 2's event of the same window has run. A lane that kept to its
+  // own share would stall in shard 0 with shard 2 queued behind it; a lane
+  // that claims unstarted shards runs shard 2 meanwhile.
+  ShardedSimulator s(4, 2);
+  std::atomic<bool> ran_2{false};
+  bool saw_2 = false;
+  s.shard(0).schedule_at(common::from_us(5.0), [&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ran_2.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    saw_2 = ran_2.load(std::memory_order_acquire);
+  });
+  s.shard(2).schedule_at(common::from_us(5.0), [&] {
+    ran_2.store(true, std::memory_order_release);
+  });
+  s.run_until(common::from_us(10.0));
+  EXPECT_TRUE(saw_2);
+  EXPECT_TRUE(s.empty());
 }
 
 // --- cluster-level differential -----------------------------------------
