@@ -267,7 +267,7 @@ void Fleet::rehome_task(int task_id, int to, metrics::EventCause cause) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now())
                  << "us rehome task " << task_id << " gpu " << from << " -> "
                  << to;
-  collector_.log_rehome(sim_.now(), from, to, task_id, cause);
+  collector_.on_rehome(sim_.now(), from, to, task_id, cause);
 }
 
 std::size_t Fleet::fail_gpu_now(int g) {
@@ -279,12 +279,11 @@ std::size_t Fleet::fail_gpu_now(int g) {
   // correctness — dropped stage callbacks no-op through the jobs_ guard —
   // but shedding first reports the losses before the device goes dark.
   const std::size_t lost = scheduler(g).fail_all_jobs();
-  jobs_lost_ += lost;
   gpu(g).halt();
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " fail-stop, " << lost << " in-flight jobs lost";
-  collector_.log_fault(sim_.now(), g, metrics::EventCause::kFailStop,
-                       static_cast<double>(lost));
+  collector_.on_fault(sim_.now(), g, metrics::EventCause::kFailStop,
+                      static_cast<double>(lost));
   // Let the router cancel/retarget transfers still headed here before the
   // homes move (the retarget re-migration reads placement scores, which
   // rehoming does not change, but the hook must see the device already
@@ -305,11 +304,7 @@ void Fleet::slow_gpu_now(int g, double factor) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " compute scale x" << factor << " -> "
                  << nodes_[static_cast<std::size_t>(g)].compute_scale;
-  collector_.log_fault(sim_.now(), g, metrics::EventCause::kStraggler, factor);
-}
-
-void Fleet::slow_gpu(int g, double factor, common::Time when) {
-  sim_.schedule_at(when, [this, g, factor] { slow_gpu_now(g, factor); });
+  collector_.on_fault(sim_.now(), g, metrics::EventCause::kStraggler, factor);
 }
 
 void Fleet::drain_gpu_now(int g) {
@@ -318,7 +313,7 @@ void Fleet::drain_gpu_now(int g) {
   h = GpuHealth::kDraining;
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " draining (finishes in-flight work, no new placements)";
-  collector_.log_drain(sim_.now(), g);
+  collector_.on_drain(sim_.now(), g);
   if (on_unplaceable_) on_unplaceable_(g);
   rehome_tasks_from(g);
 }
@@ -363,8 +358,8 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " added (scale-up), compute scale "
                  << node.compute_scale;
-  collector_.log_fault(sim_.now(), g, metrics::EventCause::kScaleUp,
-                       node.compute_scale);
+  collector_.on_fault(sim_.now(), g, metrics::EventCause::kScaleUp,
+                      node.compute_scale);
   return g;
 }
 

@@ -232,7 +232,7 @@ class Fleet {
 
   // --- fault injection / autoscaling -------------------------------------
   //
-  // The *_now forms act immediately; fail_gpu/slow_gpu/drain_gpu schedule
+  // The *_now forms act immediately; fail_gpu/drain_gpu schedule
   // the action as an ordinary simulator event at `when` (clamped to now if
   // past), so fault timelines obey the same (when, seq) determinism
   // contract as every other event. The fleet must outlive the simulator
@@ -263,8 +263,9 @@ class Fleet {
 
   /// Router-side accounting the fleet cannot see, indexed by priority class
   /// ([0] = kHigh, [1] = kLow): route attempts (first releases + retries +
-  /// hedges), synchronous + asynchronous sheds, transfers still in flight,
-  /// and the rebalancer's successful steals (each steal re-admits the job on
+  /// hedges) and synchronous + asynchronous sheds (the collector's class
+  /// released and rejected counts), transfers still in flight
+  /// (Router::pending_of), and the rebalancer's successful steals (each steal re-admits the job on
   /// the thief, inflating the schedulers' admit sum by one without a new
   /// route attempt).
   struct ConservationInput {
@@ -308,7 +309,6 @@ class Fleet {
   /// admission side to see the change immediately should re-seed AFET from
   /// a profile of node(g).resolved() (cluster_runner does).
   void slow_gpu_now(int g, double factor);
-  void slow_gpu(int g, double factor, common::Time when);
 
   /// Graceful scale-down: g stops receiving placements but finishes its
   /// in-flight work; tasks homed on g are rehomed as in fail_gpu_now.
@@ -326,9 +326,6 @@ class Fleet {
 
   /// Algorithm 1 on one device (after add_gpu_now + AFET seeding).
   void run_offline_phase(int g) { scheduler(g).run_offline_phase(); }
-
-  /// Jobs shed by fail_gpu_now across the fleet (missed finishes).
-  std::uint64_t jobs_lost() const { return jobs_lost_; }
 
   /// Registers a callback invoked the instant a device stops being
   /// placeable (fail_gpu_now / drain_gpu_now), before the fleet rehomes the
@@ -362,7 +359,6 @@ class Fleet {
   metrics::Collector& collector_;
   common::Rng seed_rng_{0};
   std::function<void(int)> on_unplaceable_;
-  std::uint64_t jobs_lost_ = 0;
   std::vector<const dnn::CompiledModel*> model_of_task_;
   /// Per GPU: distinct models pinned hot, and the MB they occupy.
   std::vector<std::vector<const dnn::CompiledModel*>> hot_models_;

@@ -136,7 +136,7 @@ void Rebalancer::on_pressure(int gpu) {
 }
 
 void Rebalancer::steal_scan(int victim) {
-  ++steal_scans_;
+  ++collector_.outcomes().steal_scans;
   const auto jobs = fleet_.scheduler(victim).donatable_lp_jobs();
   if (jobs.empty()) return;
   const common::Time now = sim_.now();
@@ -274,10 +274,9 @@ void Rebalancer::rehome_round(common::Time now) {
     fleet_.rehome_task(t, target[static_cast<std::size_t>(t)],
                        metrics::EventCause::kDemandShift);
     last_move_round_[static_cast<std::size_t>(t)] = round_;
-    ++rehomes_;
     ++moved;
   }
-  if (moved > 0) ++rehome_rounds_;
+  if (moved > 0) ++collector_.outcomes().rehome_rounds;
 }
 
 }  // namespace daris::cluster

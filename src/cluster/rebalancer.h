@@ -33,7 +33,11 @@
 //    assignment, heaviest tasks first, skipping tasks moved within
 //    `min_dwell_rounds`. Hysteresis + dwell + the move cap keep the
 //    controller from thrashing on noise; each executed move is
-//    Fleet::rehome_task with EventCause::kDemandShift.
+//    Fleet::rehome_task with EventCause::kDemandShift, which the collector
+//    counts as a rehome.
+//
+// The rebalancer keeps no outcome counters: steals, rehomes, steal scans
+// and rehome rounds are metrics::OutcomeCounters / RoutingCounters fields.
 //
 // Transfer coalescing, the third leg of the self-healing story, lives in
 // the Router (RouterConfig::coalesce): run_cluster turns it on together
@@ -110,13 +114,6 @@ class Rebalancer {
   /// fault schedule is posted, before the run starts.
   void start(common::Time horizon);
 
-  /// Steal scans executed (one per backlog trip, deduped while pending).
-  std::uint64_t steal_scans() const { return steal_scans_; }
-  /// Homes moved by demand-aware rounds.
-  std::uint64_t rehomes() const { return rehomes_; }
-  /// Rounds that executed at least one move.
-  std::uint64_t rehome_rounds() const { return rehome_rounds_; }
-
  private:
   void note_release(int task_id);
   void on_pressure(int gpu);
@@ -132,9 +129,6 @@ class Rebalancer {
   common::Duration period_ = 0;
   common::Time horizon_ = 0;
   int round_ = 0;
-  std::uint64_t steal_scans_ = 0;
-  std::uint64_t rehomes_ = 0;
-  std::uint64_t rehome_rounds_ = 0;
   /// Cumulative releases per task (the demand probes read these).
   std::vector<std::uint64_t> release_count_;
   /// Round a task last moved in (dwell enforcement).

@@ -39,7 +39,7 @@ void ResiliencePolicy::release(int task_id) {
     router_.release(task_id);
     return;
   }
-  ++first_attempts_;
+  ++collector_.outcomes().first_attempts;
   // First attempts fund the bucket; retries and hedges drain it. The cap
   // bounds how large a burst of sheds can be retried back-to-back.
   if (config_.budget_enabled) {
@@ -68,7 +68,7 @@ bool ResiliencePolicy::spend_token() {
 void ResiliencePolicy::after_attempt(int task_id, common::Time released,
                                      int attempt, const RouteResult& r) {
   if (r.status == RouteResult::Status::kAdmitted) {
-    if (attempt > 1) ++retry_admits_;
+    if (attempt > 1) ++collector_.outcomes().retry_admits;
     arm_hedge(task_id, released, r);
     return;
   }
@@ -84,9 +84,8 @@ void ResiliencePolicy::after_attempt(int task_id, common::Time released,
   const RetryPolicy& pol = policy_for(task_id);
   if (pol.backoff == RetryPolicy::Backoff::kNone) return;
   if (attempt >= pol.max_attempts) {
-    ++abandoned_attempts_;
-    collector_.log_retry(sim_.now(), -1, task_id, EventCause::kMaxAttempts,
-                         attempt);
+    collector_.on_retry(sim_.now(), -1, task_id, EventCause::kMaxAttempts,
+                        attempt);
     return;
   }
   schedule_retry(task_id, released, attempt);
@@ -123,18 +122,15 @@ void ResiliencePolicy::fire_retry(int task_id, common::Time released,
   // the remaining slack is real. A retry whose deadline already passed is
   // abandoned — releasing it would only burn GPU time on a guaranteed miss.
   if (now >= released + spec.relative_deadline) {
-    ++abandoned_expired_;
-    collector_.log_retry(now, -1, task_id, EventCause::kExpired, attempt);
+    collector_.on_retry(now, -1, task_id, EventCause::kExpired, attempt);
     return;
   }
   if (!spend_token()) {
-    ++abandoned_budget_;
-    collector_.log_retry(now, -1, task_id, EventCause::kBudgetExhausted,
-                         attempt);
+    collector_.on_retry(now, -1, task_id, EventCause::kBudgetExhausted,
+                        attempt);
     return;
   }
-  ++retries_;
-  collector_.log_retry(now, -1, task_id, EventCause::kBackoff, attempt);
+  collector_.on_retry(now, -1, task_id, EventCause::kBackoff, attempt);
   const RouteResult r = router_.route_job(task_id, released);
   after_attempt(task_id, released, attempt, r);
 }
@@ -187,18 +183,16 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
   if (now >= released + spec.relative_deadline) return;  // no slack to rescue
   if (!spend_token()) {
-    ++abandoned_budget_;
-    collector_.log_retry(now, primary_gpu, task_id,
-                         EventCause::kBudgetExhausted, 1);
+    collector_.on_retry(now, primary_gpu, task_id,
+                        EventCause::kBudgetExhausted, 1);
     return;
   }
   const RouteResult h = router_.route_hedge(task_id, primary_gpu, released);
   if (h.status != RouteResult::Status::kAdmitted) return;
-  ++hedges_;
   DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us hedge task "
                  << task_id << " gpu " << primary_gpu << " -> " << h.gpu;
-  collector_.log_hedge(now, primary_gpu, h.gpu, task_id,
-                       EventCause::kHedgeLaunch);
+  collector_.on_hedge(now, primary_gpu, h.gpu, task_id,
+                      EventCause::kHedgeLaunch);
   const std::uint64_t id = next_pair_id_++;
   HedgePair p;
   p.task = task_id;
@@ -231,7 +225,7 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   if (!primary_live && !hedge_live) {
     // Both settled within one poll period: the copies raced to completion
     // and the duplicate work was spent either way.
-    ++hedge_waste_;
+    ++collector_.outcomes().hedge_waste;
     return;
   }
   // First-finish-wins: revoke the losing copy while it is still unstarted
@@ -240,16 +234,14 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   const int loser_gpu = primary_live ? p.primary_gpu : p.hedge_gpu;
   const std::uint64_t loser_job = primary_live ? p.primary_job : p.hedge_job;
   if (primary_live) {
-    ++hedge_wins_;
-    collector_.log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
-                         EventCause::kHedgeWin);
+    collector_.on_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
+                        EventCause::kHedgeWin);
   }
   if (fleet_.scheduler(loser_gpu).revoke_job(loser_job)) {
-    ++hedge_cancels_;
-    collector_.log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
-                         EventCause::kHedgeCancel);
+    collector_.on_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
+                        EventCause::kHedgeCancel);
   } else {
-    ++hedge_waste_;
+    ++collector_.outcomes().hedge_waste;
     if (primary_live) {
       // The hedge won inside the deadline but the started primary could not
       // be revoked: follow it to completion to learn whether the histogram
@@ -272,7 +264,9 @@ void ResiliencePolicy::watch_loser(int gpu, std::uint64_t job,
   }
   // Settlement is observed up to one poll period late, so only count the
   // miss once it clears a full period — a lower bound on rescued misses.
-  if (sim_.now() > deadline + hedge_poll_) ++hedge_rescued_misses_;
+  if (sim_.now() > deadline + hedge_poll_) {
+    ++collector_.outcomes().hedge_rescued_misses;
+  }
 }
 
 void ResiliencePolicy::breaker_tick() {
@@ -324,10 +318,9 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
     b.state = BreakerState::kOpen;
     b.opened_at = now;
     fleet_.set_breaker_open(g, true);
-    ++breaker_opens_;
     DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu " << g
                    << " breaker OPEN (rate " << rate << ")";
-    collector_.log_breaker(now, g, EventCause::kBreakerOpen, rate);
+    collector_.on_breaker(now, g, EventCause::kBreakerOpen, rate);
   };
   switch (b.state) {
     case BreakerState::kClosed:
@@ -341,17 +334,16 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
       if (now - b.opened_at >= breaker_cooldown_) {
         b.state = BreakerState::kHalfOpen;
         fleet_.set_breaker_open(g, false);
-        collector_.log_breaker(now, g, EventCause::kBreakerHalfOpen, rate);
+        collector_.on_breaker(now, g, EventCause::kBreakerHalfOpen, rate);
       }
       break;
     case BreakerState::kHalfOpen:
       if (volume == 0) break;  // no probe traffic yet; keep waiting
       if (rate <= config_.breaker_close_threshold) {
         b.state = BreakerState::kClosed;
-        ++breaker_closes_;
         DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu "
                        << g << " breaker CLOSED (rate " << rate << ")";
-        collector_.log_breaker(now, g, EventCause::kBreakerClose, rate);
+        collector_.on_breaker(now, g, EventCause::kBreakerClose, rate);
       } else if (may_open) {
         open();
       }
@@ -367,14 +359,6 @@ double ResiliencePolicy::hedge_client_percentile_ms(double q) const {
   const auto idx = static_cast<std::size_t>(
       frac * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[idx];
-}
-
-int ResiliencePolicy::breakers_open_now() const {
-  int n = 0;
-  for (const auto& b : breakers_) {
-    n += b.state == BreakerState::kOpen ? 1 : 0;
-  }
-  return n;
 }
 
 }  // namespace daris::cluster

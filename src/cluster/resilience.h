@@ -47,6 +47,12 @@
 // run byte-identical to a build without this file; cluster_runner then
 // wires the drivers straight to the router.
 //
+// Outcome counters: the layer keeps none. Every retry, abandon, hedge and
+// breaker transition is one metrics::Collector call that bumps the matching
+// OutcomeCounters field and appends its event-log record; run_cluster reads
+// ClusterResult's resilience counters from the collector. Only the budget
+// balance and the hedged pairs' client-response samples stay here.
+//
 // docs/RESILIENCE.md is the operator guide (knobs, budget math, breaker
 // state machine, scenario walkthrough).
 #pragma once
@@ -148,37 +154,8 @@ class ResiliencePolicy {
   /// forwards to Router::release untouched.
   void release(int task_id);
 
-  // --- counters (ClusterResult / scenario metrics) ------------------------
-
-  std::uint64_t first_attempts() const { return first_attempts_; }
-  /// Retries actually re-released (budget already spent).
-  std::uint64_t retries() const { return retries_; }
-  /// Retries that ended in an admission.
-  std::uint64_t retry_admits() const { return retry_admits_; }
-  std::uint64_t abandoned_budget() const { return abandoned_budget_; }
-  std::uint64_t abandoned_expired() const { return abandoned_expired_; }
-  std::uint64_t abandoned_attempts() const { return abandoned_attempts_; }
-  /// Hedges launched (second copy admitted on a peer).
-  std::uint64_t hedges() const { return hedges_; }
-  /// Pairs where the hedge copy finished first.
-  std::uint64_t hedge_wins() const { return hedge_wins_; }
-  /// Losing copies revoked before starting (the bounded-duplicate-work
-  /// guarantee: waste = hedges - cancels).
-  std::uint64_t hedge_cancels() const { return hedge_cancels_; }
-  /// Pairs whose loser had already started — both copies ran to completion.
-  std::uint64_t hedge_waste() const { return hedge_waste_; }
-  /// Recorded deadline misses the client never saw: pairs where the hedge
-  /// won within the deadline and the losing primary ran to completion past
-  /// it (observed at poll granularity, counted only when the miss clears a
-  /// full poll period — a deliberately conservative lower bound, since
-  /// revoked-before-start primaries are not counted at all).
-  std::uint64_t hedge_rescued_misses() const { return hedge_rescued_misses_; }
-  std::uint64_t breaker_opens() const { return breaker_opens_; }
-  std::uint64_t breaker_closes() const { return breaker_closes_; }
   /// Current budget balance (telemetry gauge).
   double budget_tokens() const { return tokens_; }
-  /// Devices currently masked by an open breaker (telemetry gauge).
-  int breakers_open_now() const;
   /// q-th percentile of the CLIENT-perceived response over hedged pairs —
   /// time from the original release to the FIRST copy finishing (detected
   /// at pair-poll granularity). This is the latency hedging actually
@@ -235,20 +212,6 @@ class ResiliencePolicy {
   common::Duration breaker_period_ = 0;
   common::Duration breaker_cooldown_ = 0;
   double tokens_ = 0.0;
-
-  std::uint64_t first_attempts_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t retry_admits_ = 0;
-  std::uint64_t abandoned_budget_ = 0;
-  std::uint64_t abandoned_expired_ = 0;
-  std::uint64_t abandoned_attempts_ = 0;
-  std::uint64_t hedges_ = 0;
-  std::uint64_t hedge_wins_ = 0;
-  std::uint64_t hedge_cancels_ = 0;
-  std::uint64_t hedge_waste_ = 0;
-  std::uint64_t hedge_rescued_misses_ = 0;
-  std::uint64_t breaker_opens_ = 0;
-  std::uint64_t breaker_closes_ = 0;
 
   /// Unsettled hedge pairs by ascending pair id (the poll events reference
   /// pairs by id, so settlement order is a pure function of event order).

@@ -117,8 +117,6 @@ void Router::release(int task_id) {
 
 RouteResult Router::route_job(int task_id, common::Time released) {
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
-  const auto cls = static_cast<std::size_t>(spec.priority);
-  ++released_cls_[cls];
   if (release_observer_) release_observer_(task_id);
   // HP jobs go to their home GPU — the device carrying their static Eq. 11
   // reservation — mirroring the paper's fixed HP context assignment one
@@ -151,7 +149,6 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   // fits no GPU's memory, or one job's utilisation exceeds every idle
   // context) is shed here, not bounced through placement and migration.
   if (!fleet_.feasible(task_id)) {
-    ++shed_cls_[cls];
     collector_.on_shed(ev, metrics::EventCause::kInfeasible);
     RouteResult r;
     r.cause = metrics::EventCause::kInfeasible;
@@ -167,7 +164,6 @@ RouteResult Router::route_job(int task_id, common::Time released) {
           ? 1
           : fleet_.scheduler(home).config().max_backlog_per_task;
   if (fleet_.active_jobs(task_id) + pending_jobs(task_id) >= backlog_cap) {
-    ++shed_cls_[cls];
     collector_.on_shed(ev, metrics::EventCause::kBacklog);
     if (pressure_observer_) pressure_observer_(home);
     RouteResult r;
@@ -213,9 +209,6 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   if (best < 0) return r;  // no eligible peer: hedge not launched, no counts
 
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
-  const auto cls = static_cast<std::size_t>(spec.priority);
-  ++released_cls_[cls];
-
   metrics::JobEvent ev;
   ev.task_id = task_id;
   ev.priority = spec.priority;
@@ -236,7 +229,6 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
     r.job_id = job_id;
     return r;
   }
-  ++shed_cls_[cls];
   collector_.on_shed(ev, metrics::EventCause::kPeerReject);
   r.cause = metrics::EventCause::kPeerReject;
   return r;
@@ -345,7 +337,7 @@ void Router::cancel_transfers_to(int g) {
     fleet_.simulator().cancel(rec.handle);
     inflight_.erase(it);
     finish_pending(rec);
-    ++transfer_cancels_;
+    ++collector_.outcomes().transfer_cancels;
     // The bytes already shipped toward g are sunk; the job is not. Retarget
     // it to the best surviving device (a cancelled leader's followers
     // retarget right after it and coalesce onto its new copy) or drop it
@@ -389,7 +381,6 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
-  ++shed_cls_[static_cast<std::size_t>(spec.priority)];
   metrics::JobEvent ev;
   ev.task_id = task_id;
   ev.priority = spec.priority;

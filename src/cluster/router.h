@@ -35,10 +35,12 @@
 // The router owns the fleet-level release/reject accounting (the schedulers
 // run in silent mode so a retried job is not double-counted) and reports
 // every routing decision to the collector with one call, which keeps the
-// per-GPU RoutingCounters and the event log; the router keeps no copy of
-// them. In-flight transfer deliveries are
-// simulator events that reference the router: keep it alive while the
-// simulator runs, as with the release drivers.
+// per-GPU RoutingCounters, the class release/reject counts, the transfer
+// cancellations and the event log; the router keeps no copy of them. Its
+// only counts are state: the transfers (and jobs) still in flight.
+// In-flight transfer deliveries are simulator events that reference the
+// router: keep it alive while the simulator runs, as with the release
+// drivers.
 //
 // docs/CLUSTER.md is the policy guide (when each policy wins, the
 // skewed-demand failure mode, threshold semantics, rebalancing hooks).
@@ -135,30 +137,13 @@ class Router {
   RouteResult route_hedge(int task_id, int exclude_gpu,
                           common::Time released);
 
-  /// In-flight transfers cancelled because their target failed or drained
-  /// (each job was retargeted to a placeable peer or dropped).
-  std::uint64_t transfer_cancels() const { return transfer_cancels_; }
-
   /// Migrations whose weight transfer is still in flight.
   std::uint64_t pending_transfers() const { return pending_transfers_; }
 
-  // --- conservation accounting (Fleet::check_conservation) ----------------
-  //
-  // Always-on per-class tallies of every route attempt's fate: released ==
-  // shed + pending + admitted holds router-internally at any instant, and
-  // feeding them into the fleet check closes the loop against the
-  // schedulers' own counters.
-
-  /// Route attempts (releases + retries + hedges) of the class.
-  std::uint64_t released_of(common::Priority p) const {
-    return released_cls_[static_cast<std::size_t>(p)];
-  }
-  /// Synchronous + asynchronous sheds (infeasible, backlog, peer-reject,
-  /// post-transfer drops) of the class.
-  std::uint64_t shed_of(common::Priority p) const {
-    return shed_cls_[static_cast<std::size_t>(p)];
-  }
-  /// Jobs of the class still riding an in-flight weight transfer.
+  /// Jobs of the class still riding an in-flight weight transfer — the
+  /// conservation input (Fleet::check_conservation) that only the router
+  /// can see; the class's route attempts and sheds are the collector's
+  /// released and rejected counts.
   std::uint64_t pending_of(common::Priority p) const {
     return pending_cls_[static_cast<std::size_t>(p)];
   }
@@ -243,9 +228,6 @@ class Router {
   metrics::Collector& collector_;
   int rr_next_ = 0;
   std::uint64_t pending_transfers_ = 0;
-  std::uint64_t transfer_cancels_ = 0;
-  std::uint64_t released_cls_[2] = {0, 0};
-  std::uint64_t shed_cls_[2] = {0, 0};
   std::uint64_t pending_cls_[2] = {0, 0};
   std::vector<int> pending_jobs_;  // per task id
   std::vector<int> pending_to_;    // in-flight transfers per target GPU

@@ -387,8 +387,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
                      windowed_dmr(common::Priority::kHigh));
     series.add_track("fleet/lp_dmr_w", -1,
                      windowed_dmr(common::Priority::kLow));
-    series.add_track("fleet/jobs_lost", -1, [&fleet] {
-      return static_cast<double>(fleet.jobs_lost());
+    series.add_track("fleet/jobs_lost", -1, [&collector] {
+      return static_cast<double>(collector.outcomes().jobs_lost);
     });
     // Resilience gauges, registered only when the layer is live so a
     // resilience-off capture stays byte-identical to one predating it.
@@ -401,8 +401,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
       series.add_track("fleet/retry_tokens", -1, [&resilience] {
         return resilience.budget_tokens();
       });
-      series.add_track("fleet/retries", -1, [&resilience] {
-        return static_cast<double>(resilience.retries());
+      series.add_track("fleet/retries", -1, [&collector] {
+        return static_cast<double>(collector.outcomes().retries);
       });
     }
     series.start(sim, common::from_sec(config.telemetry.sample_period_s),
@@ -414,6 +414,9 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   const double wall_ms_run = wall_ms_since(wall_run_start);
   series.stop();
 
+  // Every counter below comes from the collector except the drivers'
+  // arrivals and unmatched rows, the devices' own state (utilisation,
+  // intra-GPU migrations) and the hedged pairs' client-response samples.
   ClusterResult result;
   result.total_jps = collector.throughput_jps(horizon);
   result.hp = collector.summary(common::Priority::kHigh);
@@ -424,35 +427,36 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   result.infeasible_rejects = routed.infeasible;
   result.transfers = routed.transfers_in;
   result.transferred_mb = routed.transferred_mb;
-  result.rebalancing = config.rebalance.enabled;
   result.steals = routed.steals_in;
-  result.steal_scans = rebalancer.steal_scans();
-  result.rehomes = rebalancer.rehomes();
-  result.rehome_rounds = rebalancer.rehome_rounds();
   result.coalesced_transfers = routed.coalesced;
   result.coalesced_mb_saved = routed.coalesced_mb;
-  result.transfer_cancels = router.transfer_cancels();
+  const metrics::OutcomeCounters& out = collector.outcomes();
+  result.steal_scans = out.steal_scans;
+  result.rehomes = out.rehomes;
+  result.rehome_rounds = out.rehome_rounds;
+  result.transfer_cancels = out.transfer_cancels;
+  result.jobs_lost = out.jobs_lost;
+  result.first_attempts = out.first_attempts;
+  result.retries = out.retries;
+  result.retry_admits = out.retry_admits;
+  result.retry_abandoned_budget = out.abandoned_budget;
+  result.retry_abandoned_expired = out.abandoned_expired;
+  result.retry_abandoned_attempts = out.abandoned_attempts;
+  result.hedges = out.hedges;
+  result.hedge_wins = out.hedge_wins;
+  result.hedge_cancels = out.hedge_cancels;
+  result.hedge_waste = out.hedge_waste;
+  result.hedge_rescued_misses = out.hedge_rescued_misses;
+  result.breaker_opens = out.breaker_opens;
+  result.breaker_closes = out.breaker_closes;
   result.intra_gpu_migrations = fleet.intra_gpu_migrations();
   result.arrivals = open_loop      ? open_loop->arrivals()
                     : trace_driver ? trace_driver->arrivals()
                                    : 0;
-  result.jobs_lost = fleet.jobs_lost();
   result.unmatched_rows = trace_driver ? trace_driver->unmatched() : 0;
+  result.rebalancing = config.rebalance.enabled;
   result.resilience = config.resilience.enabled;
-  result.first_attempts = resilience.first_attempts();
-  result.retries = resilience.retries();
-  result.retry_admits = resilience.retry_admits();
-  result.retry_abandoned_budget = resilience.abandoned_budget();
-  result.retry_abandoned_expired = resilience.abandoned_expired();
-  result.retry_abandoned_attempts = resilience.abandoned_attempts();
-  result.hedges = resilience.hedges();
-  result.hedge_wins = resilience.hedge_wins();
-  result.hedge_cancels = resilience.hedge_cancels();
-  result.hedge_waste = resilience.hedge_waste();
-  result.hedge_rescued_misses = resilience.hedge_rescued_misses();
   result.hedge_client_p99_ms = resilience.hedge_client_percentile_ms(99.0);
-  result.breaker_opens = resilience.breaker_opens();
-  result.breaker_closes = resilience.breaker_closes();
   // Job conservation, checked after EVERY run — faults, rebalancing, and
   // resilience all conserve jobs, so a violation is a fleet bug regardless
   // of configuration.
@@ -460,8 +464,9 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     cluster::Fleet::ConservationInput cons;
     for (std::size_t c = 0; c < 2; ++c) {
       const auto p = static_cast<common::Priority>(c);
-      cons.released[c] = router.released_of(p);
-      cons.shed[c] = router.shed_of(p);
+      const metrics::Collector::ClassCounts counts = collector.class_counts(p);
+      cons.released[c] = counts.released;
+      cons.shed[c] = counts.rejected;
       cons.pending[c] = router.pending_of(p);
     }
     cons.steals = routed.steals_in;

@@ -19,33 +19,68 @@ void Collector::log(Time when, EventKind kind, EventCause cause, int gpu,
   if (event_log_) event_log_->append(when, kind, cause, gpu, peer, task, value);
 }
 
-void Collector::log_fault(Time when, int gpu, EventCause cause,
-                          double value) {
+void Collector::on_fault(Time when, int gpu, EventCause cause,
+                         double value) {
+  if (cause == EventCause::kFailStop) {
+    outcomes_.jobs_lost += static_cast<std::uint64_t>(value);
+  }
   log(when, EventKind::kFault, cause, gpu, -1, -1, value);
 }
 
-void Collector::log_rehome(Time when, int from_gpu, int to_gpu, int task,
-                           EventCause cause) {
+void Collector::on_rehome(Time when, int from_gpu, int to_gpu, int task,
+                          EventCause cause) {
+  if (cause == EventCause::kDemandShift) ++outcomes_.rehomes;
   log(when, EventKind::kRehome, cause, from_gpu, to_gpu, task);
 }
 
-void Collector::log_drain(Time when, int gpu) {
+void Collector::on_drain(Time when, int gpu) {
   log(when, EventKind::kDrain, EventCause::kScaleDown, gpu, -1, -1);
 }
 
-void Collector::log_retry(Time when, int gpu, int task, EventCause cause,
-                          int attempt) {
+void Collector::on_retry(Time when, int gpu, int task, EventCause cause,
+                         int attempt) {
+  switch (cause) {
+    case EventCause::kBackoff:
+      ++outcomes_.retries;
+      break;
+    case EventCause::kBudgetExhausted:
+      ++outcomes_.abandoned_budget;
+      break;
+    case EventCause::kExpired:
+      ++outcomes_.abandoned_expired;
+      break;
+    case EventCause::kMaxAttempts:
+      ++outcomes_.abandoned_attempts;
+      break;
+    default:
+      break;
+  }
   log(when, EventKind::kRetry, cause, gpu, -1, task,
       static_cast<double>(attempt));
 }
 
-void Collector::log_hedge(Time when, int gpu, int peer, int task,
-                          EventCause cause) {
+void Collector::on_hedge(Time when, int gpu, int peer, int task,
+                         EventCause cause) {
+  switch (cause) {
+    case EventCause::kHedgeLaunch:
+      ++outcomes_.hedges;
+      break;
+    case EventCause::kHedgeWin:
+      ++outcomes_.hedge_wins;
+      break;
+    case EventCause::kHedgeCancel:
+      ++outcomes_.hedge_cancels;
+      break;
+    default:
+      break;
+  }
   log(when, EventKind::kHedge, cause, gpu, peer, task);
 }
 
-void Collector::log_breaker(Time when, int gpu, EventCause cause,
-                            double rate) {
+void Collector::on_breaker(Time when, int gpu, EventCause cause,
+                           double rate) {
+  if (cause == EventCause::kBreakerOpen) ++outcomes_.breaker_opens;
+  if (cause == EventCause::kBreakerClose) ++outcomes_.breaker_closes;
   log(when, EventKind::kBreaker, cause, gpu, -1, -1, rate);
 }
 

@@ -1,5 +1,11 @@
 // Run-time metrics: per-priority throughput, deadline-miss rate, response
 // times, and optional per-stage execution/MRET traces (Fig. 9).
+//
+// The Collector is the one home of a run's outcome counters: the per-class
+// counts and samples, the per-GPU RoutingCounters, and the fleet-wide
+// OutcomeCounters of the fault, rebalancing and resilience layers. The
+// cluster layers keep no tallies of their own; each decision is one call
+// here that bumps its counter and appends its event-log record.
 #pragma once
 
 #include <cassert>
@@ -109,6 +115,38 @@ struct RoutingCounters {
   }
 };
 
+/// Fleet-wide control-plane outcomes beside routing: the client resilience
+/// layer, the rebalancer's scans and rounds, transfer cancellation and
+/// fail-stop losses. Every write happens in the control phase, so one struct
+/// serves the fleet (no lanes). A counter with a log record is bumped only by
+/// the collector call that appends the record (the kind and cause in its
+/// comment); the rest have no record and are plain fields their layer bumps
+/// through Collector::outcomes().
+struct OutcomeCounters {
+  // cluster::ResiliencePolicy
+  std::uint64_t first_attempts = 0;      // releases entering the layer
+  std::uint64_t retries = 0;             // retry/backoff: re-released
+  std::uint64_t retry_admits = 0;        // retries that ended in an admission
+  std::uint64_t abandoned_budget = 0;    // retry/budget-exhausted
+  std::uint64_t abandoned_expired = 0;   // retry/expired
+  std::uint64_t abandoned_attempts = 0;  // retry/max-attempts
+  std::uint64_t hedges = 0;              // hedge/hedge-launch
+  std::uint64_t hedge_wins = 0;          // hedge/hedge-win
+  std::uint64_t hedge_cancels = 0;       // hedge/hedge-cancel
+  std::uint64_t hedge_waste = 0;         // pairs where both copies ran
+  std::uint64_t hedge_rescued_misses = 0;  // see exp::ClusterResult
+  std::uint64_t breaker_opens = 0;       // breaker/breaker-open
+  std::uint64_t breaker_closes = 0;      // breaker/breaker-close
+  // cluster::Rebalancer
+  std::uint64_t steal_scans = 0;         // backlog-triggered scans executed
+  std::uint64_t rehomes = 0;             // rehome/demand-shift
+  std::uint64_t rehome_rounds = 0;       // rounds that moved at least one home
+  // cluster::Router
+  std::uint64_t transfer_cancels = 0;    // in-flight copies cut by a fault
+  // cluster::Fleet
+  std::uint64_t jobs_lost = 0;           // summed fault/fail-stop values
+};
+
 class Collector {
  public:
   Collector();
@@ -131,8 +169,8 @@ class Collector {
   // finishes and stages fire from device-shard events on pool worker
   // threads, and exactly one thread executes a given device's events in any
   // window, so lane writers never race; every other hook (release/reject
-  // from the router, routing counters, the event log) runs in the control
-  // phase while the pool is parked at the barrier. The flat class counts
+  // from the router, routing counters, the outcome counters, the event log)
+  // runs in the control phase while the pool is parked at the barrier. The flat class counts
   // hold only those control-phase releases and rejects.
   //
   // Readers fold the lanes on every call: counters sum, response samples
@@ -190,33 +228,49 @@ class Collector {
   /// A queued LP job was claimed off `victim` by `thief` (kSteal).
   void on_steal(Time when, int victim, int thief, int task);
 
+  // --- lifecycle and resilience decisions (cluster::Fleet, Rebalancer,
+  // ResiliencePolicy) -------------------------------------------------------
+  //
+  // Same contract as the routing calls: the cause picks the OutcomeCounters
+  // field the call bumps (if any), and the record is appended when the log
+  // is on.
+
+  /// A device fault: kFailStop (value = in-flight jobs lost, summed into
+  /// jobs_lost), kStraggler (value = compute-scale factor) or kScaleUp.
+  void on_fault(Time when, int gpu, EventCause cause, double value);
+  /// Rehome of a task's home reservation; kDemandShift (the rebalancer's
+  /// periodic moves) counts a rehome, kNone (fault-driven) only logs.
+  void on_rehome(Time when, int from_gpu, int to_gpu, int task,
+                 EventCause cause);
+  void on_drain(Time when, int gpu);
+  /// A retry released (kBackoff) or abandoned (kBudgetExhausted, kExpired,
+  /// kMaxAttempts); value = attempt number.
+  void on_retry(Time when, int gpu, int task, EventCause cause, int attempt);
+  /// A hedge launched, won or cancelled (`gpu` = primary, `peer` = hedge
+  /// device).
+  void on_hedge(Time when, int gpu, int peer, int task, EventCause cause);
+  /// A breaker opened, half-opened or closed (value = the window's
+  /// miss+shed rate).
+  void on_breaker(Time when, int gpu, EventCause cause, double rate);
+
+  /// The control-phase outcome counters; the mutable form is for the
+  /// record-less fields (see OutcomeCounters).
+  const OutcomeCounters& outcomes() const { return outcomes_; }
+  OutcomeCounters& outcomes() { return outcomes_; }
+
   // --- structured event log (metrics/eventlog.h) -------------------------
   //
-  // Typed, timestamped records of the fleet's routing and lifecycle
-  // decisions: the routing calls above append theirs, and the fleet and the
-  // resilience layer log lifecycle records below. Disabled by default;
-  // nothing is appended until enable_event_log reserves the storage, so
-  // telemetry-off runs do no extra work. EventLog::fold_routing reproduces
-  // the RoutingCounters from the records alone (tested).
+  // Typed, timestamped records of the fleet's routing, lifecycle and
+  // resilience decisions, each appended by the on_* call above that counts
+  // it. Disabled by default; nothing is appended until enable_event_log
+  // reserves the storage, so telemetry-off runs do no extra work.
+  // EventLog::fold_routing reproduces the RoutingCounters from the records
+  // alone (tested).
 
   /// Creates (or resets) the log with room for `capacity` records.
   void enable_event_log(std::size_t capacity);
   EventLog* event_log() { return event_log_.get(); }
   const EventLog* event_log() const { return event_log_.get(); }
-
-  void log_fault(Time when, int gpu, EventCause cause, double value);
-  /// Rehome of a task's home reservation; `cause` is kDemandShift for the
-  /// rebalancer's periodic moves and kNone for fault-driven rehomes.
-  void log_rehome(Time when, int from_gpu, int to_gpu, int task,
-                  EventCause cause);
-  void log_drain(Time when, int gpu);
-  /// Resilience-layer records: a retry released or abandoned (value =
-  /// attempt number), a hedge launched/won/cancelled (`gpu` = primary,
-  /// `peer` = hedge device), a breaker transition (value = the window's
-  /// miss+shed rate).
-  void log_retry(Time when, int gpu, int task, EventCause cause, int attempt);
-  void log_hedge(Time when, int gpu, int peer, int task, EventCause cause);
-  void log_breaker(Time when, int gpu, EventCause cause, double rate);
 
   const RoutingCounters& routing(int gpu) const {
     return lanes_[static_cast<std::size_t>(gpu)].routing;
@@ -250,6 +304,7 @@ class Collector {
            int task, double value = 0.0);
 
   ClassSummary classes_[2];  // control-phase releases and rejects
+  OutcomeCounters outcomes_;
   std::vector<Lane> lanes_;
   bool trace_stages_ = false;
   Time measure_start_ = 0;

@@ -1,7 +1,6 @@
 #include "metrics/eventlog.h"
 
 #include <cstdio>
-#include <ostream>
 
 namespace daris::metrics {
 
@@ -176,16 +175,6 @@ void EventLog::append_json_array(std::string* out) const {
     *out += buf;
   }
   *out += events_.empty() ? "]" : "\n  ]";
-}
-
-void EventLog::write_jsonl(std::ostream& os) const {
-  for (const FleetEvent& ev : events_) {
-    os << "{\"ts_us\": " << common::to_us(ev.when) << ", \"kind\": \""
-       << event_kind_name(ev.kind) << "\", \"cause\": \""
-       << event_cause_name(ev.cause) << "\", \"gpu\": " << ev.gpu
-       << ", \"peer\": " << ev.peer << ", \"task\": " << ev.task
-       << ", \"value\": " << ev.value << "}\n";
-  }
 }
 
 }  // namespace daris::metrics

@@ -3,22 +3,24 @@
 // transfer, fault, rehome, drain — stamped with the device id, the simulated
 // time, and a cause code.
 //
-// Routing records are appended by the same metrics::Collector call that
-// bumps the per-GPU `RoutingCounters`, so the log and the counters cannot
-// drift: `fold_routing()` reconstructs the counters from the records alone
-// (a unit test pins the fold against the live counters), and the Perfetto
-// export renders the records as instant events on the per-GPU lanes. Records are PODs appended into a pre-reserved
-// vector, so steady-state logging performs no allocation (pinned in
-// tests/test_sim_alloc.cpp) and — because nothing ever reads the log during
-// the run — enabling it cannot perturb a single scheduling decision.
+// Every record is appended by the same metrics::Collector call that bumps
+// its counter (a per-GPU `RoutingCounters` or fleet-wide `OutcomeCounters`
+// field), so the log and the counters cannot drift: `fold_routing()`
+// reconstructs the routing counters from the records alone (a unit test pins
+// the fold against the live counters), and the Perfetto export renders the
+// records as instant events on the per-GPU lanes. Records are PODs appended
+// into a pre-reserved vector, so steady-state logging performs no allocation
+// (pinned in tests/test_sim_alloc.cpp) and — because nothing ever reads the
+// log during the run — enabling it cannot perturb a single scheduling
+// decision.
 //
-// Export formats: JSON Lines (`write_jsonl`, one object per record) for
-// offline tooling, and the unified Perfetto trace via
+// Export formats: one JSON array (`append_json_array`, the telemetry
+// artifact's "events" section) and the unified Perfetto trace via
 // metrics::to_chrome_trace_json.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "common/time.h"
@@ -125,11 +127,8 @@ class EventLog {
   /// ends in exactly one admit/migrate/reject record).
   std::vector<RoutingCounters> fold_routing(int gpu_count) const;
 
-  /// One JSON object per record (JSON Lines), in append order.
-  void write_jsonl(std::ostream& os) const;
-
-  /// Appends the records as one JSON array (same per-record fields as
-  /// write_jsonl, deterministic %.17g number formatting).
+  /// Appends the records as one JSON array in append order (deterministic
+  /// %.17g number formatting).
   void append_json_array(std::string* out) const;
 
  private:

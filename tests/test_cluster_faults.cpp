@@ -79,7 +79,7 @@ TEST(FleetFaults, FailStopShedsOnlyTheDeadGpusJobs) {
   // Only GPU 0's job died; GPU 1's keeps running and completes on time.
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
-  EXPECT_EQ(h.fleet->jobs_lost(), 1u);
+  EXPECT_EQ(h.collector.outcomes().jobs_lost, 1u);
   // The shed job is reported as a missed finish.
   EXPECT_EQ(h.collector.summary(Priority::kLow).missed, 1u);
   h.sim.run();
@@ -92,7 +92,7 @@ TEST(FleetFaults, FailStopShedsOnlyTheDeadGpusJobs) {
 
   // Idempotent: a second fail of the same device sheds nothing more.
   EXPECT_EQ(h.fleet->fail_gpu_now(0), 0u);
-  EXPECT_EQ(h.fleet->jobs_lost(), 1u);
+  EXPECT_EQ(h.collector.outcomes().jobs_lost, 1u);
 }
 
 TEST(FleetFaults, RouterNeverPlacesOnFailedGpu) {
@@ -138,7 +138,7 @@ TEST(FleetFaults, DrainCompletesInFlightWork) {
 
   h.fleet->drain_gpu_now(0);
   // Graceful: nothing is shed, the job finishes on the draining device.
-  EXPECT_EQ(h.fleet->jobs_lost(), 0u);
+  EXPECT_EQ(h.collector.outcomes().jobs_lost, 0u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
   h.sim.run();
   EXPECT_EQ(h.fleet->scheduler(0).jobs_completed(), 1u);
@@ -171,7 +171,7 @@ TEST(FleetFaults, FailCancelsInFlightTransferAndRetargetsTheJob) {
   // it retargeted to the surviving peer (a fresh copy: the bytes already
   // shipped toward GPU 1 are sunk).
   h.fleet->fail_gpu_now(1);
-  EXPECT_EQ(router.transfer_cancels(), 1u);
+  EXPECT_EQ(h.collector.outcomes().transfer_cancels, 1u);
   EXPECT_EQ(router.pending_transfers_to(1), 0);
   EXPECT_EQ(router.pending_transfers(), 1u);  // the retargeted copy to GPU 2
   EXPECT_EQ(h.collector.fleet_routing().transfers_in, 2u);
@@ -199,7 +199,7 @@ TEST(FleetFaults, DrainCancelsInFlightTransferToo) {
   // still in flight has nothing there yet — it must be redirected like a
   // fail-stop, or the delivery would place new work on a draining GPU.
   h.fleet->drain_gpu_now(1);
-  EXPECT_EQ(router.transfer_cancels(), 1u);
+  EXPECT_EQ(h.collector.outcomes().transfer_cancels, 1u);
   EXPECT_EQ(router.pending_transfers_to(1), 0);
 
   h.sim.run();
@@ -223,7 +223,7 @@ TEST(FleetFaults, CancelledTransferWithNoSurvivorDropsTheJob) {
   // job, so the retarget bounces off it and the job is dropped — cleanly,
   // with the pending gauges unwound.
   h.fleet->fail_gpu_now(1);
-  EXPECT_EQ(router.transfer_cancels(), 1u);
+  EXPECT_EQ(h.collector.outcomes().transfer_cancels, 1u);
   EXPECT_EQ(router.pending_transfers(), 0u);
   EXPECT_EQ(h.collector.fleet_routing().sheds(), 1u);
 

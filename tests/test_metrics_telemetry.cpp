@@ -174,6 +174,79 @@ TEST(TelemetryCluster, CaptureCarriesDocumentedTracksAndProfile) {
   EXPECT_GE(r.profile.wall_ms_total, r.profile.wall_ms_run);
 }
 
+/// Records of `kind` (and `cause`, unless kNone) in the run's event log.
+std::uint64_t records(const exp::ClusterResult& r, EventKind kind,
+                      EventCause cause = EventCause::kNone) {
+  std::uint64_t n = 0;
+  for (const FleetEvent& ev : r.events.events()) {
+    if (ev.kind == kind && (cause == EventCause::kNone || ev.cause == cause)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(TelemetryCluster, ResultCountersEqualTheirRecordCounts) {
+  // Every layer that records outcomes, armed at once: an overloaded fleet
+  // with resilience (retries, hedging, breakers), self-healing rebalancing
+  // and a fail-stop mid-run.
+  exp::ClusterConfig cfg;
+  cfg.taskset = workload::replicated_taskset(workload::mixed_taskset(), 3);
+  cfg.sched.policy = rt::Policy::kMps;
+  cfg.sched.num_contexts = 4;
+  cfg.sched.oversubscription = 4.0;
+  cfg.num_gpus = 4;
+  cfg.arrivals = exp::ArrivalMode::kPoisson;
+  cfg.rate_scale = 2.5;
+  cfg.duration_s = 1.0;
+  cfg.warmup_s = 0.25;
+  cfg.rebalance.enabled = true;
+  cfg.resilience.enabled = true;
+  cfg.resilience.hedge = true;
+  cfg.resilience.breaker = true;
+  exp::FaultSpec fail;
+  fail.kind = exp::FaultSpec::Kind::kFail;
+  fail.gpu = 1;
+  fail.at_s = 0.6;
+  cfg.faults.push_back(fail);
+  cfg.telemetry.enabled = true;
+  const exp::ClusterResult r = exp::run_cluster(cfg);
+  ASSERT_TRUE(r.conservation_ok) << r.conservation_detail;
+
+  EXPECT_EQ(r.retries, records(r, EventKind::kRetry, EventCause::kBackoff));
+  EXPECT_EQ(r.retry_abandoned_budget,
+            records(r, EventKind::kRetry, EventCause::kBudgetExhausted));
+  EXPECT_EQ(r.retry_abandoned_expired,
+            records(r, EventKind::kRetry, EventCause::kExpired));
+  EXPECT_EQ(r.retry_abandoned_attempts,
+            records(r, EventKind::kRetry, EventCause::kMaxAttempts));
+  EXPECT_EQ(r.hedges, records(r, EventKind::kHedge, EventCause::kHedgeLaunch));
+  EXPECT_EQ(r.hedge_wins, records(r, EventKind::kHedge, EventCause::kHedgeWin));
+  EXPECT_EQ(r.hedge_cancels,
+            records(r, EventKind::kHedge, EventCause::kHedgeCancel));
+  EXPECT_EQ(r.breaker_opens,
+            records(r, EventKind::kBreaker, EventCause::kBreakerOpen));
+  EXPECT_EQ(r.breaker_closes,
+            records(r, EventKind::kBreaker, EventCause::kBreakerClose));
+  EXPECT_EQ(r.rehomes, records(r, EventKind::kRehome, EventCause::kDemandShift));
+  EXPECT_EQ(r.steals, records(r, EventKind::kSteal));
+  double lost = 0.0;
+  for (const FleetEvent& ev : r.events.events()) {
+    if (ev.kind == EventKind::kFault && ev.cause == EventCause::kFailStop) {
+      lost += ev.value;
+    }
+  }
+  EXPECT_EQ(static_cast<double>(r.jobs_lost), lost);
+
+  // The run must exercise what it checks.
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_GT(r.hedges, 0u);
+  EXPECT_GT(r.breaker_opens, 0u);
+  EXPECT_GT(r.rehomes, 0u);
+  EXPECT_GT(r.steals, 0u);
+  EXPECT_GT(r.jobs_lost, 0u);
+}
+
 TEST(TelemetryCluster, DisabledByDefaultLeavesCaptureEmpty) {
   exp::ClusterConfig cfg;
   cfg.taskset = workload::replicated_taskset(workload::mixed_taskset(), 2);

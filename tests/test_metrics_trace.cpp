@@ -454,5 +454,90 @@ TEST(CollectorRouting, EachDecisionIsOneRecordWhenTheLogIsOn) {
   EXPECT_EQ(c.event_log()->events()[3].cause, EventCause::kInfeasible);
 }
 
+/// One call per cause of every lifecycle and resilience decision, in a fixed
+/// order: 4 retry, 3 hedge, 3 breaker, 2 rehome and 3 fault records.
+void decide_fifteen_outcomes(Collector& c) {
+  c.on_retry(from_us(1.0), -1, 3, EventCause::kBackoff, 2);
+  c.on_retry(from_us(2.0), -1, 3, EventCause::kBudgetExhausted, 2);
+  c.on_retry(from_us(3.0), -1, 3, EventCause::kExpired, 3);
+  c.on_retry(from_us(4.0), -1, 3, EventCause::kMaxAttempts, 3);
+  c.on_hedge(from_us(5.0), 0, 1, 3, EventCause::kHedgeLaunch);
+  c.on_hedge(from_us(6.0), 0, 1, 3, EventCause::kHedgeWin);
+  c.on_hedge(from_us(6.0), 0, 1, 3, EventCause::kHedgeCancel);
+  c.on_breaker(from_us(7.0), 1, EventCause::kBreakerOpen, 0.75);
+  c.on_breaker(from_us(8.0), 1, EventCause::kBreakerHalfOpen, 0.0);
+  c.on_breaker(from_us(9.0), 1, EventCause::kBreakerClose, 0.1);
+  c.on_rehome(from_us(10.0), 0, 1, 3, EventCause::kDemandShift);
+  c.on_rehome(from_us(11.0), 1, 0, 4, EventCause::kNone);  // fault-driven
+  c.on_fault(from_us(12.0), 1, EventCause::kFailStop, 5.0);
+  c.on_fault(from_us(13.0), 0, EventCause::kStraggler, 0.5);
+  c.on_fault(from_us(14.0), 0, EventCause::kFailStop, 2.0);
+}
+
+void expect_fifteen_outcomes_counted(const OutcomeCounters& o) {
+  EXPECT_EQ(o.retries, 1u);
+  EXPECT_EQ(o.abandoned_budget, 1u);
+  EXPECT_EQ(o.abandoned_expired, 1u);
+  EXPECT_EQ(o.abandoned_attempts, 1u);
+  EXPECT_EQ(o.hedges, 1u);
+  EXPECT_EQ(o.hedge_wins, 1u);
+  EXPECT_EQ(o.hedge_cancels, 1u);
+  EXPECT_EQ(o.breaker_opens, 1u);
+  EXPECT_EQ(o.breaker_closes, 1u);
+  EXPECT_EQ(o.rehomes, 1u);  // demand-shift only
+  EXPECT_EQ(o.jobs_lost, 7u);  // fail-stop values summed
+  // Outcomes without a record are never bumped by a decision call.
+  EXPECT_EQ(o.first_attempts, 0u);
+  EXPECT_EQ(o.retry_admits, 0u);
+  EXPECT_EQ(o.hedge_waste, 0u);
+  EXPECT_EQ(o.steal_scans, 0u);
+  EXPECT_EQ(o.rehome_rounds, 0u);
+  EXPECT_EQ(o.transfer_cancels, 0u);
+}
+
+TEST(CollectorOutcomes, EachDecisionCountsWithTheLogOff) {
+  Collector c;
+  c.grow_gpu_count(2);
+  decide_fifteen_outcomes(c);
+  EXPECT_EQ(c.event_log(), nullptr);
+  expect_fifteen_outcomes_counted(c.outcomes());
+}
+
+TEST(CollectorOutcomes, EachDecisionIsOneRecordWhenTheLogIsOn) {
+  Collector c;
+  c.grow_gpu_count(2);
+  c.enable_event_log(32);
+  decide_fifteen_outcomes(c);
+  expect_fifteen_outcomes_counted(c.outcomes());
+  const auto& ev = c.event_log()->events();
+  ASSERT_EQ(ev.size(), 15u);
+  const EventKind kinds[15] = {
+      EventKind::kRetry,   EventKind::kRetry,   EventKind::kRetry,
+      EventKind::kRetry,   EventKind::kHedge,   EventKind::kHedge,
+      EventKind::kHedge,   EventKind::kBreaker, EventKind::kBreaker,
+      EventKind::kBreaker, EventKind::kRehome,  EventKind::kRehome,
+      EventKind::kFault,   EventKind::kFault,   EventKind::kFault};
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    EXPECT_EQ(ev[i].kind, kinds[i]) << i;
+  }
+  // Payloads: attempt number, hedge peer, breaker rate, rehome target,
+  // jobs lost.
+  EXPECT_EQ(ev[0].value, 2.0);
+  EXPECT_EQ(ev[4].peer, 1);
+  EXPECT_EQ(ev[7].value, 0.75);
+  EXPECT_EQ(ev[10].peer, 1);
+  EXPECT_EQ(ev[12].value, 5.0);
+}
+
+TEST(CollectorOutcomes, RecordLessOutcomesArePlainFields) {
+  Collector c;
+  c.enable_event_log(4);
+  ++c.outcomes().first_attempts;
+  ++c.outcomes().transfer_cancels;
+  EXPECT_EQ(c.outcomes().first_attempts, 1u);
+  EXPECT_EQ(c.outcomes().transfer_cancels, 1u);
+  EXPECT_TRUE(c.event_log()->empty());
+}
+
 }  // namespace
 }  // namespace daris::metrics
