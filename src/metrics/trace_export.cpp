@@ -75,10 +75,7 @@ std::string to_chrome_trace_json(const std::vector<TraceSpan>& spans,
         << " \"pid\": " << s.group << ","
         << " \"tid\": " << s.lane << ","
         << " \"ts\": " << common::to_us(s.begin) << ","
-        << " \"dur\": " << common::to_us(s.duration) << ","
-        << " \"args\": {\"priority\": \""
-        << common::priority_name(s.priority) << "\", \"missed\": "
-        << (s.missed ? "true" : "false") << "}}";
+        << " \"dur\": " << common::to_us(s.duration) << "}";
   }
   if (series != nullptr) {
     // One counter track per sampler track, on the device's pid lane. The

@@ -23,8 +23,6 @@ struct TraceSpan {
   int lane = 0;          // tid lane (task id)
   Time begin = 0;
   Duration duration = 0;
-  Priority priority = Priority::kHigh;
-  bool missed = false;
 };
 
 /// Collects spans during a run; the scheduler-facing side is just a vector.

@@ -25,17 +25,16 @@ TEST(TraceExport, SpanFieldsSerialised) {
   s.lane = 1;
   s.begin = from_ms(1.0);
   s.duration = from_ms(0.5);
-  s.priority = common::Priority::kLow;
-  s.missed = true;
   const std::string json = to_chrome_trace_json({s});
   EXPECT_NE(json.find("\"name\": \"task1.stage0\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"tid\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"ts\": 1000"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 500"), std::string::npos);
-  EXPECT_NE(json.find("\"priority\": \"LP\""), std::string::npos);
-  EXPECT_NE(json.find("\"missed\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\": 500}"), std::string::npos);
+  // A stage span carries no args: nothing on the stage path knows the job's
+  // priority or outcome.
+  EXPECT_EQ(json.find("\"args\""), std::string::npos);
 }
 
 TEST(TraceExport, EscapesQuotesInNames) {
@@ -78,8 +77,7 @@ TEST(TraceExport, UnifiedGoldenOutput) {
   EXPECT_EQ(json,
             "[\n"
             "  {\"name\": \"a\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0,"
-            " \"ts\": 0, \"dur\": 0,"
-            " \"args\": {\"priority\": \"HP\", \"missed\": false}},\n"
+            " \"ts\": 0, \"dur\": 0},\n"
             "  {\"name\": \"gpu/util\", \"ph\": \"C\", \"pid\": 0,"
             " \"ts\": 5, \"args\": {\"value\": 1.5}},\n"
             "  {\"name\": \"fault:fail-stop\", \"ph\": \"i\", \"s\": \"p\","
@@ -269,7 +267,6 @@ TEST(TraceExport, UnifiedExportParsesAsJson) {
   hostile.lane = 3;
   hostile.begin = from_ms(0.25);
   hostile.duration = from_ms(1.75);
-  hostile.missed = true;
   TimeSeries series;
   series.add_track("gpu/util", 0, [] { return 0.125; });
   series.add_track("fleet/backlog", -1, [] { return 42.0; });
