@@ -15,6 +15,10 @@ Validates, for every scenario in the bench_fig_scenarios JSON report:
     matches the schema, carries the digest the report claims, has at least
     one track with monotonically increasing timestamps, and a profile with
     non-zero event counts;
+  - the artifact's event records agree with the report's metrics: each
+    counter in RECORD_COUNTED equals its (kind, cause) record count, and
+    jobs_lost equals the summed fail-stop values (the collector bumps each
+    counter in the call that appends its record);
   - the per-scenario Perfetto trace (<name>.trace.json) parses as a JSON
     array and contains all three phase types: "X" (spans), "C" (counters),
     and "i" (instants).
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 TELEMETRY_KEYS = {"scenario", "sample_period_us", "digest", "fingerprint",
                   "timeseries", "events", "profile"}
@@ -43,8 +48,39 @@ KNOWN_EVENT_KINDS = {"admit", "reject", "migrate", "transfer", "fault",
                      "rehome", "drain", "steal", "coalesce", "retry",
                      "hedge", "breaker"}
 
+# Report metric -> the (kind, cause) of the records that count it; a None
+# cause counts every record of the kind.
+RECORD_COUNTED = {
+    "retries": ("retry", "backoff"),
+    "hedges": ("hedge", "hedge-launch"),
+    "hedge_wins": ("hedge", "hedge-win"),
+    "hedge_cancels": ("hedge", "hedge-cancel"),
+    "breaker_opens": ("breaker", "breaker-open"),
+    "breaker_closes": ("breaker", "breaker-close"),
+    "rehomes": ("rehome", "demand-shift"),
+    "steals": ("steal", None),
+}
 
-def check_telemetry_file(path, name, report_digest, failures):
+
+def check_record_counts(events, metrics, name, failures):
+    counts = Counter((ev["kind"], ev["cause"]) for ev in events)
+    expected = {}
+    for metric, (kind, cause) in RECORD_COUNTED.items():
+        expected[metric] = sum(n for (k, c), n in counts.items()
+                               if k == kind and cause in (None, c))
+    expected["jobs_lost"] = sum(ev["value"] for ev in events
+                                if ev["kind"] == "fault"
+                                and ev["cause"] == "fail-stop")
+    for metric, n in expected.items():
+        if metric not in metrics:
+            failures.append(f"{name}: report has no {metric!r} metric")
+        elif metrics[metric] != n:
+            failures.append(
+                f"{name}: report {metric} = {metrics[metric]:g} but the "
+                f"event log counts {n:g}")
+
+
+def check_telemetry_file(path, name, report_digest, metrics, failures):
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -91,6 +127,8 @@ def check_telemetry_file(path, name, report_digest, failures):
         if ev["kind"] not in KNOWN_EVENT_KINDS:
             failures.append(f"{name}: unknown event kind {ev['kind']!r}")
             break
+    else:
+        check_record_counts(doc["events"], metrics, name, failures)
 
     profile = doc["profile"]
     missing = PROFILE_KEYS - set(profile)
@@ -145,7 +183,7 @@ def main():
                 "moved when telemetry was enabled)")
         check_telemetry_file(
             os.path.join(args.telemetry_dir, f"{name}.telemetry.json"),
-            name, s.get("telemetry_digest"), failures)
+            name, s.get("telemetry_digest"), s.get("metrics", {}), failures)
         check_trace_file(
             os.path.join(args.telemetry_dir, f"{name}.trace.json"),
             name, failures)
