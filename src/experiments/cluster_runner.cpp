@@ -454,8 +454,6 @@ ClusterResult run_cluster(const ClusterConfig& config) {
                     : trace_driver ? trace_driver->arrivals()
                                    : 0;
   result.unmatched_rows = trace_driver ? trace_driver->unmatched() : 0;
-  result.rebalancing = config.rebalance.enabled;
-  result.resilience = config.resilience.enabled;
   result.hedge_client_p99_ms = resilience.hedge_client_percentile_ms(99.0);
   // Job conservation, checked after EVERY run — faults, rebalancing, and
   // resilience all conserve jobs, so a violation is a fleet bug regardless

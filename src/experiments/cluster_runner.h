@@ -142,10 +142,7 @@ struct ClusterResult {
   double transferred_mb = 0.0;           // total weight MB shipped
   std::uint64_t intra_gpu_migrations = 0;
   std::uint64_t arrivals = 0;  // open-loop + trace modes; 0 for periodic
-  /// Rebalancing outcomes (all zero unless ClusterConfig::rebalance.enabled;
-  /// `rebalancing` records the switch so reports can tell "off" from
-  /// "on but idle").
-  bool rebalancing = false;
+  /// Rebalancing outcomes (all zero unless ClusterConfig::rebalance.enabled).
   std::uint64_t steals = 0;         // queued LP jobs claimed by peers
   std::uint64_t steal_scans = 0;    // backlog-triggered scans executed
   std::uint64_t rehomes = 0;        // demand-driven home moves
@@ -162,9 +159,7 @@ struct ClusterResult {
   /// Trace rows skipped because no task serves their (model, SLO) class.
   std::uint64_t unmatched_rows = 0;
   /// Resilience-layer outcomes (all zero unless
-  /// ClusterConfig::resilience.enabled; `resilience` records the switch so
-  /// reports can tell "off" from "on but idle").
-  bool resilience = false;
+  /// ClusterConfig::resilience.enabled).
   std::uint64_t first_attempts = 0; // releases entering the layer
   std::uint64_t retries = 0;        // re-releases actually attempted
   std::uint64_t retry_admits = 0;   // retries that ended in an admission

@@ -479,41 +479,29 @@ std::string fingerprint_of(const ClusterResult& r,
   append(&fp, "gmigr", static_cast<std::uint64_t>(rep.gpu_migrations));
   append(&fp, "starved", static_cast<std::uint64_t>(rep.starved_stages));
   append(&fp, "stall_us", rep.worst_stall_us);
-  // Appended only for rebalancing runs, so every pre-rebalancer fingerprint
-  // stays byte-identical to its committed baseline.
-  if (r.rebalancing) {
-    append(&fp, "steals", r.steals);
-    append(&fp, "rehomes", r.rehomes);
-    append(&fp, "coal", r.coalesced_transfers);
-    append(&fp, "coal_mb", r.coalesced_mb_saved);
-    append(&fp, "cancels", r.transfer_cancels);
-  }
-  // Same contract for the resilience layer: counters appear only when it is
-  // armed, keeping every resilience-off fingerprint byte-identical to its
-  // pre-resilience form.
-  if (r.resilience) {
-    append(&fp, "att", r.first_attempts);
-    append(&fp, "retries", r.retries);
-    append(&fp, "radmit", r.retry_admits);
-    append(&fp, "rbudget", r.retry_abandoned_budget);
-    append(&fp, "rexpire", r.retry_abandoned_expired);
-    append(&fp, "rmax", r.retry_abandoned_attempts);
-    append(&fp, "hedges", r.hedges);
-    append(&fp, "hwins", r.hedge_wins);
-    append(&fp, "hcancel", r.hedge_cancels);
-    append(&fp, "hwaste", r.hedge_waste);
-    append(&fp, "hrescue", r.hedge_rescued_misses);
-    append(&fp, "hclient", r.hedge_client_p99_ms);
-    append(&fp, "bopen", r.breaker_opens);
-    append(&fp, "bclose", r.breaker_closes);
-    // Conservation joins the behaviour digest on resilience runs: a run
-    // that leaks a job must not reproduce a clean run's fingerprint. On
-    // resilience-off runs the invariant is still VERIFIED — the
-    // unconditional ge("conservation") check below gates every scenario —
-    // but it stays out of the fingerprint so the fingerprints of scenarios
-    // predating the resilience layer did not move when it landed.
-    append(&fp, "cons", static_cast<std::uint64_t>(r.conservation_ok ? 1 : 0));
-  }
+  // Every layer's counters, whether or not the layer is armed: an unarmed
+  // layer appends zeros, and a run that leaks a job must not reproduce a
+  // clean run's fingerprint.
+  append(&fp, "steals", r.steals);
+  append(&fp, "rehomes", r.rehomes);
+  append(&fp, "coal", r.coalesced_transfers);
+  append(&fp, "coal_mb", r.coalesced_mb_saved);
+  append(&fp, "cancels", r.transfer_cancels);
+  append(&fp, "att", r.first_attempts);
+  append(&fp, "retries", r.retries);
+  append(&fp, "radmit", r.retry_admits);
+  append(&fp, "rbudget", r.retry_abandoned_budget);
+  append(&fp, "rexpire", r.retry_abandoned_expired);
+  append(&fp, "rmax", r.retry_abandoned_attempts);
+  append(&fp, "hedges", r.hedges);
+  append(&fp, "hwins", r.hedge_wins);
+  append(&fp, "hcancel", r.hedge_cancels);
+  append(&fp, "hwaste", r.hedge_waste);
+  append(&fp, "hrescue", r.hedge_rescued_misses);
+  append(&fp, "hclient", r.hedge_client_p99_ms);
+  append(&fp, "bopen", r.breaker_opens);
+  append(&fp, "bclose", r.breaker_closes);
+  append(&fp, "cons", static_cast<std::uint64_t>(r.conservation_ok ? 1 : 0));
   for (const auto& g : r.per_gpu) append(&fp, "g", g.completed);
   return fp;
 }
