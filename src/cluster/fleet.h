@@ -265,9 +265,9 @@ class Fleet {
   /// ([0] = kHigh, [1] = kLow): route attempts (first releases + retries +
   /// hedges) and synchronous + asynchronous sheds (the collector's class
   /// released and rejected counts), transfers still in flight
-  /// (Router::pending_of), and the rebalancer's successful steals (each steal re-admits the job on
-  /// the thief, inflating the schedulers' admit sum by one without a new
-  /// route attempt).
+  /// (Router::pending_of), and the rebalancer's successful steals (each
+  /// steal re-admits the job on the thief, inflating the schedulers' admit
+  /// sum by one without a new route attempt).
   struct ConservationInput {
     std::uint64_t released[2] = {0, 0};
     std::uint64_t shed[2] = {0, 0};

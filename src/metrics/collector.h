@@ -170,8 +170,8 @@ class Collector {
   // threads, and exactly one thread executes a given device's events in any
   // window, so lane writers never race; every other hook (release/reject
   // from the router, routing counters, the outcome counters, the event log)
-  // runs in the control phase while the pool is parked at the barrier. The flat class counts
-  // hold only those control-phase releases and rejects.
+  // runs in the control phase while the pool is parked at the barrier. The
+  // flat class counts hold only those control-phase releases and rejects.
   //
   // Readers fold the lanes on every call: counters sum, response samples
   // concatenate in lane order (Percentiles queries are order-insensitive),

@@ -526,15 +526,5 @@ TEST(CollectorOutcomes, EachDecisionIsOneRecordWhenTheLogIsOn) {
   EXPECT_EQ(ev[12].value, 5.0);
 }
 
-TEST(CollectorOutcomes, RecordLessOutcomesArePlainFields) {
-  Collector c;
-  c.enable_event_log(4);
-  ++c.outcomes().first_attempts;
-  ++c.outcomes().transfer_cancels;
-  EXPECT_EQ(c.outcomes().first_attempts, 1u);
-  EXPECT_EQ(c.outcomes().transfer_cancels, 1u);
-  EXPECT_TRUE(c.event_log()->empty());
-}
-
 }  // namespace
 }  // namespace daris::metrics
